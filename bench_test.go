@@ -60,7 +60,8 @@ func BenchmarkFig15SlowdownPT(b *testing.B)        { benchExperiment(b, "fig15")
 func BenchmarkFig16BreakdownPT(b *testing.B)       { benchExperiment(b, "fig16") }
 func BenchmarkTable2Alignment(b *testing.B)        { benchExperiment(b, "table2") }
 
-// Extension experiments (DESIGN.md §6 ablations beyond the paper).
+// Extension experiments (ablations beyond the paper; see ARCHITECTURE.md,
+// "The consumers").
 func BenchmarkExtMomentumVariance(b *testing.B) { benchExperiment(b, "ext-momentum") }
 func BenchmarkExtGARsUnderAttack(b *testing.B)  { benchExperiment(b, "ext-gars") }
 func BenchmarkExtStaleFault(b *testing.B)       { benchExperiment(b, "ext-stale") }
@@ -145,7 +146,8 @@ func BenchmarkShardedAggregation(b *testing.B) {
 	}
 }
 
-// --- Design ablations called out in DESIGN.md ---
+// --- Design ablations of the hot paths in PERFORMANCE.md, "Where each hot
+// path lives" ---
 
 // BenchmarkAblationMedian compares the parallel coordinate-sharded median
 // (the paper's CPU strategy, Section 4.3) against a sequential baseline.

@@ -315,21 +315,13 @@ func (c *Cluster) RunAsyncMSMW(opt RunOptions) (*Result, error) {
 	res := newResult("async-msmw")
 	start := c.clock.Now()
 	wire0 := c.WireStats()
-	var wg sync.WaitGroup
-	errs := make([]error, len(honest))
-	for k, r := range honest {
-		k, s := k, c.Server(r)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = c.asyncReplicaLoop(res, s, true, opt, start, k == 0)
-		}()
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: async-msmw replica %d: %w", honest[k], err)
-		}
+	// Deterministic is rejected above, so forEach runs one goroutine per
+	// replica.
+	k, err := c.forEach(len(honest), func(k int) error {
+		return c.asyncReplicaLoop(res, c.Server(honest[k]), true, opt, start, k == 0)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: async-msmw replica %d: %w", honest[k], err)
 	}
 	res.WallTime = c.clock.Now().Sub(start)
 	res.Wire = c.WireStats().Sub(wire0)
@@ -454,11 +446,9 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 func (c *Cluster) asyncModelExchange(s *Server, modelAgg *Aggregator, qps int) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
 	defer cancel()
-	models, err := s.GetModels(ctx, qps)
-	if err != nil {
-		return err
-	}
-	aggr, err := modelAgg.Aggregate(models)
+	aggr, err := pullAggregate(nil, nil, modelAgg, func() ([]tensor.Vector, error) {
+		return s.GetModels(ctx, qps)
+	})
 	if err != nil {
 		return err
 	}

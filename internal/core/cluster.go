@@ -135,11 +135,12 @@ type Config struct {
 	// gradient estimate per step and serve it to every puller (the
 	// paper's broadcast semantics) instead of drawing a fresh mini-batch
 	// per pull, servers aggregate pulled vectors in canonical (address)
-	// order instead of arrival order, and the MSMW replicas run their
-	// model-exchange phase in lockstep. Replicated topologies additionally
-	// need SyncQuorum (with q < n the responding subset itself depends on
-	// timing) and an order-insensitive ModelRule such as median. Used by
-	// the scenario sweep runner.
+	// order instead of arrival order, and the replicated rounds run their
+	// replicas one after another in index order instead of one goroutine
+	// each. Replicated topologies additionally need SyncQuorum (with q < n
+	// the responding subset itself depends on timing) and an
+	// order-insensitive ModelRule such as median. Used by the scenario
+	// sweep runner.
 	Deterministic bool
 }
 
@@ -471,9 +472,7 @@ func (c *Cluster) Close() {
 	srvs := append(append([]io.Closer(nil), c.workerSrv...), c.serverSrv...)
 	c.memMu.RUnlock()
 	for _, cl := range clients {
-		if closer, ok := cl.(io.Closer); ok {
-			_ = closer.Close()
-		}
+		closeCaller(cl)
 	}
 	for _, s := range srvs {
 		if s != nil {

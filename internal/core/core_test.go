@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,6 +281,69 @@ func TestMSMWToleratesStraggler(t *testing.T) {
 	}
 	if acc := res.Accuracy.Last(); acc < 0.75 {
 		t.Fatalf("msmw with straggler accuracy = %v", acc)
+	}
+}
+
+// TestReplicatedRoundSurfacesRootCause partitions one honest replica — not
+// the first — from every worker in a live, non-deterministic run of each
+// phased topology. The run error must name that replica and carry its own
+// quorum failure: no replica may report an error that merely wraps another
+// replica's failure.
+func TestReplicatedRoundSurfacesRootCause(t *testing.T) {
+	tests := []struct {
+		name, unit string
+		shape      func(*Config)
+		run        func(*Cluster, RunOptions) (*Result, error)
+	}{
+		{"msmw", "replica", func(*Config) {}, (*Cluster).RunMSMW},
+		{"decentralized", "node", func(cfg *Config) {
+			cfg.NW, cfg.FW, cfg.NPS, cfg.FPS = 5, 1, 5, 0
+			cfg.NonIID, cfg.ContractSteps = true, 1
+		}, (*Cluster).RunDecentralized},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(t)
+			cfg.PullTimeout = 5 * time.Second
+			tc.shape(&cfg)
+			c := newTestCluster(t, cfg)
+			const victim = 1
+			workers := make([]string, c.Workers())
+			for w := range workers {
+				workers[w] = c.WorkerAddr(w)
+			}
+			c.Partition([]string{c.ServerAddr(victim)}, workers)
+			_, err := tc.run(c, RunOptions{Iterations: 3})
+			if !errors.Is(err, rpc.ErrQuorum) {
+				t.Fatalf("err = %v, want ErrQuorum", err)
+			}
+			msg := err.Error()
+			if want := fmt.Sprintf("iteration 0 %s %d: ", tc.unit, victim); !strings.Contains(msg, want) {
+				t.Fatalf("err = %q, want it to name %q", msg, want)
+			}
+			if n := strings.Count(msg, " "+tc.unit+" "); n != 1 {
+				t.Fatalf("err = %q names %d %ss, want only the partitioned one", msg, n, tc.unit)
+			}
+		})
+	}
+}
+
+// TestCloseReleasesPooledClients pins the connection-leak fix: the live
+// wiring's pooled clients have a Close without an error result, and
+// Cluster.Close must still close them.
+func TestCloseReleasesPooledClients(t *testing.T) {
+	c, err := NewCluster(baseConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunSSMW(RunOptions{Iterations: 1}); err != nil {
+		c.Close()
+		t.Fatal(err)
+	}
+	c.Close()
+	_, err = c.Server(0).client.Call(context.Background(), c.WorkerAddr(0), rpc.Request{Kind: rpc.KindPing})
+	if !errors.Is(err, rpc.ErrClientClosed) {
+		t.Fatalf("pull after Close: err = %v, want rpc.ErrClientClosed", err)
 	}
 }
 

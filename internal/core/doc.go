@@ -49,8 +49,9 @@
 // runs at a fixed seed: workers compute one gradient estimate per step and
 // serve it to every puller (the paper's broadcast semantics), servers
 // aggregate pulled vectors in canonical peer order rather than arrival
-// order, and the replicated protocols exchange models in lockstep.
-// Replicated topologies additionally need SyncQuorum — with q < n the
-// responding subset itself is timing-dependent. The scenario sweep runner
-// uses this mode to make its artifacts reproducible byte for byte.
+// order, and the replicated protocols run each round phase at their
+// replicas in index order rather than concurrently. Replicated topologies
+// additionally need SyncQuorum — with q < n the responding subset itself
+// is timing-dependent. The scenario sweep runner uses this mode to make its
+// artifacts reproducible byte for byte.
 package core

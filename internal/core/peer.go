@@ -69,9 +69,9 @@ func (p *PeerNode) Handle(req rpc.Request) rpc.Response {
 }
 
 // DecentralizedStep executes one iteration of Listing 3 for this node
-// against remote peers, with no global barrier: the contract step retries
-// until a quorum of peers has published an aggregated gradient for the
-// round. q is the collection quorum (n-f, or n under synchrony).
+// against remote peers, with no in-process phase alignment: the contract
+// step retries until a quorum of peers has published an aggregated gradient
+// for the round. q is the collection quorum (n-f, or n under synchrony).
 func (p *PeerNode) DecentralizedStep(ctx context.Context, iteration, q, f int, rule, modelRule string, contractSteps int) error {
 	s := p.server
 	gradAgg, err := cachedAggregator(&p.gradAgg, &p.gradKey, rule, q, f)
@@ -82,21 +82,17 @@ func (p *PeerNode) DecentralizedStep(ctx context.Context, iteration, q, f int, r
 	if err != nil {
 		return fmt.Errorf("core: peer step %d: %w", iteration, err)
 	}
-	grads, err := s.GetGradients(ctx, iteration, q)
+	aggr, err := pullAggregate(nil, nil, gradAgg, func() ([]tensor.Vector, error) {
+		return s.GetGradients(ctx, iteration, q)
+	})
 	if err != nil {
 		return fmt.Errorf("core: peer step %d gradients: %w", iteration, err)
 	}
-	aggr, err := gradAgg.Aggregate(grads)
-	if err != nil {
-		return fmt.Errorf("core: peer step %d: %w", iteration, err)
-	}
 	for step := 0; step < contractSteps; step++ {
 		s.SetLatestAggrGrad(aggr)
-		aggrs, err := pullAggrGradsWithRetry(ctx, s, q)
-		if err != nil {
-			return fmt.Errorf("core: peer step %d contract %d: %w", iteration, step, err)
-		}
-		aggr, err = gradAgg.Aggregate(aggrs)
+		aggr, err = pullAggregate(nil, nil, gradAgg, func() ([]tensor.Vector, error) {
+			return pullAggrGradsWithRetry(ctx, s, q)
+		})
 		if err != nil {
 			return fmt.Errorf("core: peer step %d contract %d: %w", iteration, step, err)
 		}
@@ -104,13 +100,11 @@ func (p *PeerNode) DecentralizedStep(ctx context.Context, iteration, q, f int, r
 	if err := s.UpdateModel(aggr); err != nil {
 		return err
 	}
-	models, err := s.GetModels(ctx, q)
+	aggrModel, err := pullAggregate(nil, nil, modelAgg, func() ([]tensor.Vector, error) {
+		return s.GetModels(ctx, q)
+	})
 	if err != nil {
 		return fmt.Errorf("core: peer step %d models: %w", iteration, err)
-	}
-	aggrModel, err := modelAgg.Aggregate(models)
-	if err != nil {
-		return fmt.Errorf("core: peer step %d: %w", iteration, err)
 	}
 	return s.WriteModel(aggrModel)
 }
@@ -119,7 +113,7 @@ func (p *PeerNode) DecentralizedStep(ctx context.Context, iteration, q, f int, r
 // gradient or ctx expires. Peers that have not reached the publish point of
 // the current round decline, which surfaces as a quorum miss — transient by
 // construction, hence the retry loop (the cross-process substitute for the
-// in-process barrier).
+// in-process phase order of RunDecentralized).
 func pullAggrGradsWithRetry(ctx context.Context, s *Server, q int) ([]tensor.Vector, error) {
 	backoff := 2 * time.Millisecond
 	for {
@@ -133,7 +127,7 @@ func pullAggrGradsWithRetry(ctx context.Context, s *Server, q int) ([]tensor.Vec
 		select {
 		case <-ctx.Done():
 			return nil, fmt.Errorf("core: contract quorum: %w", ctx.Err())
-		//lint:allow wallclock(quorum-retry pacing in the decentralized topology, which the simulator rejects; affects liveness only, never a deterministic artifact)
+		//lint:allow wallclock(quorum-retry pacing of the cross-process peer node, which the simulator never drives; affects liveness only, never a deterministic artifact)
 		case <-time.After(backoff):
 		}
 		if backoff < 100*time.Millisecond {

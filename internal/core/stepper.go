@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"garfield/internal/gar"
+	"garfield/internal/metrics"
 	"garfield/internal/tensor"
 )
 
@@ -59,6 +60,62 @@ func (c *Cluster) driveSteps(res *Result, st Stepper, opt RunOptions) (*Result, 
 	return res, nil
 }
 
+// forEach runs fn(k) for every k in [0, n) and waits for all of them: in
+// index order on the calling goroutine under Config.Deterministic — the
+// only schedule a virtual clock drives reproducibly, so live deterministic
+// and simulated runs share one code path — and one goroutine per index
+// otherwise. It is the only place the lockstep rounds fan out over
+// replicas. Every fn runs even when an earlier one fails; forEach returns
+// the lowest failing index and that index's own error, or (-1, nil).
+func (c *Cluster) forEach(n int, fn func(k int) error) (int, error) {
+	errs := make([]error, n)
+	if c.cfg.Deterministic {
+		for k := range errs {
+			errs[k] = fn(k)
+		}
+	} else {
+		var wg sync.WaitGroup
+		for k := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[k] = fn(k)
+			}()
+		}
+		wg.Wait()
+	}
+	for k, err := range errs {
+		if err != nil {
+			return k, err
+		}
+	}
+	return -1, nil
+}
+
+// pullAggregate performs one pull and aggregates its replies with agg. A
+// non-nil bd is charged the pull as communication time and the aggregation
+// as aggregation time, both measured on clock; with a nil bd nothing is
+// timed and clock may be nil.
+func pullAggregate(clock Clock, bd *metrics.Breakdown, agg *Aggregator, pull func() ([]tensor.Vector, error)) (tensor.Vector, error) {
+	if bd == nil {
+		vecs, err := pull()
+		if err != nil {
+			return nil, err
+		}
+		return agg.Aggregate(vecs)
+	}
+	start := clock.Now()
+	vecs, err := pull()
+	pulled := clock.Now()
+	bd.AddComm(pulled.Sub(start))
+	if err != nil {
+		return nil, err
+	}
+	out, err := agg.Aggregate(vecs)
+	bd.AddAgg(clock.Now().Sub(pulled))
+	return out, err
+}
+
 // singleServerStepper is the round of the single-server topologies (vanilla,
 // SSMW, AggregaThor): the roster's first replica pulls a full worker quorum,
 // aggregates with the topology's rule and applies the update. The roster is
@@ -89,16 +146,10 @@ func (st *singleServerStepper) Step(i int) error {
 		return fmt.Errorf("core: %s: %w", st.name, err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
-	commDone := c.phaseTimer()
-	grads, err := s.GetGradients(ctx, i, q)
+	aggr, err := pullAggregate(c.clock, st.res.Breakdown, ag, func() ([]tensor.Vector, error) {
+		return s.GetGradients(ctx, i, q)
+	})
 	cancel()
-	st.res.Breakdown.AddComm(commDone())
-	if err != nil {
-		return fmt.Errorf("core: %s iteration %d: %w", st.name, i, err)
-	}
-	aggDone := c.phaseTimer()
-	aggr, err := ag.Aggregate(grads)
-	st.res.Breakdown.AddAgg(aggDone())
 	if err != nil {
 		return fmt.Errorf("core: %s iteration %d: %w", st.name, i, err)
 	}
@@ -108,11 +159,12 @@ func (st *singleServerStepper) Step(i int) error {
 func (st *singleServerStepper) Observed() *Server { return st.obs }
 
 // crashStepper is the round of the strawman crash-tolerant baseline of
-// Section 6.2: every live replica collects all worker gradients and
-// averages, the primary's failure aborts the run, a backup's does not.
-// Aggregators are cached per replica slot — slots are stable across roster
-// transitions, and a slot's rule rebuilds only when the active worker count
-// changes under it.
+// Section 6.2: every live replica collects all worker gradients, averages
+// and updates, fanned out through forEach; the primary's failure aborts the
+// run, a backup's does not, and only the primary's timings feed the
+// breakdown. Aggregators are cached per replica slot — slots are stable
+// across roster transitions, and a slot's rule rebuilds only when the
+// active worker count changes under it.
 type crashStepper struct {
 	c    *Cluster
 	res  *Result
@@ -129,12 +181,9 @@ func (st *crashStepper) Step(i int) error {
 		return fmt.Errorf("core: crash-tolerant: all %d replicas crashed or departed", c.Servers())
 	}
 	st.obs = c.Server(p)
-	// Every live replica performs the averaging step so a backup's model
-	// stays close to the primary's.
-	var wg sync.WaitGroup
-	errs := make([]error, len(ro.Servers))
-	var pErr *error
-	for k, r := range ro.Servers {
+	var live []int
+	var aggs []*Aggregator
+	for _, r := range ro.Servers {
 		if c.serverCrashed(r) {
 			continue
 		}
@@ -144,34 +193,125 @@ func (st *crashStepper) Step(i int) error {
 			return fmt.Errorf("core: crash-tolerant: %w", err)
 		}
 		st.aggs[r], st.keys[r] = slot, key
-		k, r := k, r
-		if r == p {
-			pErr = &errs[k]
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = c.crashStep(st.res, agg, r, i, ro.NW(), r == p)
-		}()
+		live, aggs = append(live, r), append(aggs, agg)
 	}
-	wg.Wait()
-	if pErr != nil && *pErr != nil {
-		return fmt.Errorf("core: crash-tolerant iteration %d: %w", i, *pErr)
+	// Every live replica performs the averaging step so a backup's model
+	// stays close to the primary's.
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
+	defer cancel()
+	_, err := c.forEach(len(live), func(k int) error {
+		s := c.Server(live[k])
+		var bd *metrics.Breakdown
+		if live[k] == p {
+			bd = st.res.Breakdown
+		}
+		aggr, err := pullAggregate(c.clock, bd, aggs[k], func() ([]tensor.Vector, error) {
+			return s.GetGradients(ctx, i, ro.NW())
+		})
+		if err == nil {
+			err = s.UpdateModel(aggr)
+		}
+		if live[k] != p {
+			return nil // a backup's failure does not fail the round
+		}
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("core: crash-tolerant iteration %d: %w", i, err)
 	}
 	return nil
 }
 
 func (st *crashStepper) Observed() *Server { return st.obs }
 
+// phasedRound is one round of the replicated applications — MSMW
+// (Listing 2) and decentralized learning (Listing 3) — over the replicas
+// that train. Byzantine replicas need no training loop: their adversarial
+// behaviour lives in how they answer pulls. stepPhased runs the round as a
+// sequence of phases, each fanned out over every replica through forEach
+// and complete at every replica before the next begins:
+//
+//  1. pull q gradients and aggregate them;
+//  2. contract times: publish the aggregate (SetLatestAggrGrad clones it),
+//     then pull q peers' aggregates and aggregate those;
+//  3. update the model with the aggregate;
+//  4. when exchange is set: pull qm peer models and aggregate them;
+//  5. overwrite the model with that aggregate.
+//
+// So every replica has updated before any pulls a peer model, and every
+// replica has pulled before any overwrites its state: the multiset of
+// models a replica observes does not depend on scheduling.
+type phasedRound struct {
+	name, unit string // topology and replica noun, for error messages
+	// replicas are the training servers' indices; replicas[0]'s timings
+	// feed the breakdown.
+	replicas            []int
+	gradAggs, modelAggs []*Aggregator // per replica, parallel to replicas
+	q, qm               int           // gradient and model quorums
+	contract            int           // contraction steps per round
+	exchange            bool          // whether this round exchanges models
+}
+
+// stepPhased runs iteration i of round p and returns the first failing
+// replica's own error, naming that replica.
+func (c *Cluster) stepPhased(res *Result, i int, p phasedRound) error {
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
+	defer cancel()
+	out := make([]tensor.Vector, len(p.replicas))
+	phase := func(fn func(k int, s *Server) error) error {
+		k, err := c.forEach(len(p.replicas), func(k int) error { return fn(k, c.Server(p.replicas[k])) })
+		if err != nil {
+			return fmt.Errorf("core: %s iteration %d %s %d: %w", p.name, i, p.unit, p.replicas[k], err)
+		}
+		return nil
+	}
+	pullPhase := func(aggs []*Aggregator, pull func(s *Server) ([]tensor.Vector, error)) error {
+		return phase(func(k int, s *Server) (err error) {
+			var bd *metrics.Breakdown
+			if k == 0 {
+				bd = res.Breakdown
+			}
+			out[k], err = pullAggregate(c.clock, bd, aggs[k], func() ([]tensor.Vector, error) { return pull(s) })
+			return err
+		})
+	}
+
+	if err := pullPhase(p.gradAggs, func(s *Server) ([]tensor.Vector, error) {
+		return s.GetGradients(ctx, i, p.q)
+	}); err != nil {
+		return err
+	}
+	for step := 0; step < p.contract; step++ {
+		for k, r := range p.replicas {
+			c.Server(r).SetLatestAggrGrad(out[k])
+		}
+		if err := pullPhase(p.gradAggs, func(s *Server) ([]tensor.Vector, error) {
+			return s.GetAggrGrads(ctx, p.q)
+		}); err != nil {
+			return err
+		}
+	}
+	if err := phase(func(k int, s *Server) error { return s.UpdateModel(out[k]) }); err != nil {
+		return err
+	}
+	if !p.exchange {
+		return nil
+	}
+	if err := pullPhase(p.modelAggs, func(s *Server) ([]tensor.Vector, error) {
+		return s.GetModels(ctx, p.qm)
+	}); err != nil {
+		return err
+	}
+	return phase(func(k int, s *Server) error { return s.WriteModel(out[k]) })
+}
+
 // msmwStepper is the round of the multi-server multi-worker application of
-// Listing 2. It has two schedules with identical semantics: the concurrent
-// one fans a goroutine per honest replica (barrier-free — the default
-// execution whose timing the throughput experiments measure), and the
-// lockstep one runs the replicas in explicit phase order on one goroutine.
-// Deterministic mode uses the lockstep schedule: it is the barrier
-// alignment of the concurrent path expressed as program order, and the only
-// schedule a virtual clock can drive reproducibly — so live deterministic
-// runs and simulated runs share the exact same code path.
+// Listing 2: a phasedRound over the roster's honest replicas, with model
+// exchange every Config.ModelAggEvery rounds and no contraction step. The
+// roster is re-read every step, and aggregators are cached per replica
+// slot: replica indices are stable across roster transitions, and a slot's
+// rules rebuild only when the quorum shape changes under it (a join/leave
+// between rounds).
 type msmwStepper struct {
 	c         *Cluster
 	res       *Result
@@ -198,156 +338,44 @@ func (st *msmwStepper) Step(i int) error {
 		return fmt.Errorf("%w: msmw iteration %d: no honest replicas left", ErrConfig, i)
 	}
 	st.obs = c.Server(honest[0])
-	qw, qps := ro.NW()-ro.FW, ro.NPS()-ro.FPS
-	if cfg.SyncQuorum {
-		qw, qps = ro.NW(), ro.NPS()
+	round := phasedRound{
+		name: "msmw", unit: "replica", replicas: honest,
+		q: ro.NW() - ro.FW, qm: ro.NPS() - ro.FPS,
+		exchange: (i+1)%cfg.ModelAggEvery == 0,
 	}
-	// Per-slot aggregator caches: replica indices are stable across roster
-	// transitions, and a slot's rules rebuild only when the quorum shape
-	// changes under it (a join/leave between rounds).
-	gradAgg := make([]*Aggregator, len(honest))
-	modelAgg := make([]*Aggregator, len(honest))
-	for k, r := range honest {
+	if cfg.SyncQuorum {
+		round.q, round.qm = ro.NW(), ro.NPS()
+	}
+	for _, r := range honest {
 		gradSlot, gradKey := st.gradAggs[r], st.gradKeys[r]
-		ga, err := cachedAggregator(&gradSlot, &gradKey, cfg.Rule, qw, ro.FW)
+		ga, err := cachedAggregator(&gradSlot, &gradKey, cfg.Rule, round.q, ro.FW)
 		if err != nil {
 			return fmt.Errorf("core: msmw: %w", err)
 		}
 		st.gradAggs[r], st.gradKeys[r] = gradSlot, gradKey
 		modelSlot, modelKey := st.modelAggs[r], st.modelKeys[r]
-		ma, err := cachedAggregator(&modelSlot, &modelKey, cfg.ModelRule, qps, ro.FPS)
+		ma, err := cachedAggregator(&modelSlot, &modelKey, cfg.ModelRule, round.qm, ro.FPS)
 		if err != nil {
 			return fmt.Errorf("core: msmw: %w", err)
 		}
 		st.modelAggs[r], st.modelKeys[r] = modelSlot, modelKey
-		gradAgg[k], modelAgg[k] = ga, ma
+		round.gradAggs = append(round.gradAggs, ga)
+		round.modelAggs = append(round.modelAggs, ma)
 	}
-	if cfg.Deterministic {
-		return st.stepLockstep(i, honest, gradAgg, modelAgg, qw, qps)
-	}
-	return st.stepConcurrent(i, honest, gradAgg, modelAgg, qw, qps)
+	return c.stepPhased(st.res, i, round)
 }
 
 func (st *msmwStepper) Observed() *Server { return st.obs }
 
-// stepConcurrent drives the honest replicas concurrently; Byzantine
-// replicas do not need a training loop — their adversarial behaviour lives
-// in how they answer pulls (attack-corrupted models).
-func (st *msmwStepper) stepConcurrent(i int, honest []int, gradAgg, modelAgg []*Aggregator, qw, qps int) error {
-	c := st.c
-	var wg sync.WaitGroup
-	errs := make([]error, len(honest))
-	for k, r := range honest {
-		k, r := k, r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[k] = c.msmwStep(st.res, gradAgg[k], modelAgg[k], r, i, qw, qps, k == 0)
-		}()
-	}
-	wg.Wait()
-	if k, err := firstRootCause(errs); err != nil {
-		return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, honest[k], err)
-	}
-	return nil
-}
-
-// stepLockstep runs the round in explicit phase order on one goroutine:
-// every replica pulls gradients, aggregates and updates its model; then
-// every replica pulls peer models; then every replica aggregates those and
-// overwrites its state. All pulls complete before any write — the property
-// the concurrent path needs a barrier for — by construction.
-func (st *msmwStepper) stepLockstep(i int, honest []int, gradAgg, modelAgg []*Aggregator, qw, qps int) error {
-	c, cfg := st.c, st.c.cfg
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.PullTimeout)
-	defer cancel()
-	for k, r := range honest {
-		s := c.Server(r)
-		record := k == 0
-		commDone := c.phaseTimer()
-		grads, err := s.GetGradients(ctx, i, qw)
-		if record {
-			st.res.Breakdown.AddComm(commDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		aggDone := c.phaseTimer()
-		aggr, err := gradAgg[k].Aggregate(grads)
-		if record {
-			st.res.Breakdown.AddAgg(aggDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		if err := s.UpdateModel(aggr); err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-	}
-	if (i+1)%cfg.ModelAggEvery != 0 {
-		return nil // contraction is periodic; no model exchange this round
-	}
-	pulled := make([][]tensor.Vector, len(honest))
-	for k, r := range honest {
-		s := c.Server(r)
-		commDone := c.phaseTimer()
-		models, err := s.GetModels(ctx, qps)
-		if k == 0 {
-			st.res.Breakdown.AddComm(commDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		pulled[k] = models
-	}
-	for k, r := range honest {
-		s := c.Server(r)
-		aggDone := c.phaseTimer()
-		aggrModel, err := modelAgg[k].Aggregate(pulled[k])
-		if k == 0 {
-			st.res.Breakdown.AddAgg(aggDone())
-		}
-		if err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-		if err := s.WriteModel(aggrModel); err != nil {
-			return fmt.Errorf("core: msmw iteration %d replica %d: %w", i, r, err)
-		}
-	}
-	return nil
-}
-
 // decentralizedStepper is the round of the peer-to-peer application of
-// Listing 3: every node pairs a Worker with a Server, and each round runs
-// collect → aggregate → (contract) → update → model exchange across all
-// honest nodes, aligned by an in-process barrier. Goroutine-per-node by
-// nature, so it runs on the live wiring only.
+// Listing 3: a fixed phasedRound over the honest nodes, each the pairing of
+// a Worker and a Server, exchanging models every round.
 type decentralizedStepper struct {
-	c         *Cluster
-	res       *Result
-	gradAggs  []*Aggregator
-	modelAggs []*Aggregator
+	c     *Cluster
+	res   *Result
+	round phasedRound
 }
 
-func (st *decentralizedStepper) Step(i int) error {
-	c := st.c
-	honest := len(st.gradAggs)
-	b := newBarrier(honest)
-	var wg sync.WaitGroup
-	errs := make([]error, honest)
-	for r := 0; r < honest; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[r] = c.decentralizedStep(st.res, st.gradAggs[r], st.modelAggs[r], r, i, b, r == 0)
-		}()
-	}
-	wg.Wait()
-	if r, err := firstRootCause(errs); err != nil {
-		return fmt.Errorf("core: decentralized iteration %d node %d: %w", i, r, err)
-	}
-	return nil
-}
+func (st *decentralizedStepper) Step(i int) error { return st.c.stepPhased(st.res, i, st.round) }
 
 func (st *decentralizedStepper) Observed() *Server { return st.c.Server(0) }

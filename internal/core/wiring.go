@@ -46,9 +46,14 @@ func (lw liveWiring) NewCaller(self string) rpc.Caller {
 func (lw liveWiring) Clock() Clock { return WallClock() }
 
 // closeCaller closes a caller when its wiring gave it resources to release
-// (pooled connections); simulator callers hold none and are left alone.
+// (pooled connections); simulator callers hold none and are left alone. Both
+// Close signatures count: rpc.PooledClient.Close returns nothing, so an
+// io.Closer check alone would never release the live wiring's connections.
 func closeCaller(cl rpc.Caller) {
-	if closer, ok := cl.(io.Closer); ok {
+	switch closer := cl.(type) {
+	case io.Closer:
 		_ = closer.Close()
+	case interface{ Close() }:
+		closer.Close()
 	}
 }

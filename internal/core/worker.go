@@ -303,7 +303,8 @@ func (w *Worker) reply(req rpc.Request, vec tensor.Vector) rpc.Response {
 // attacks also draw once per step) under detMu, and every later pull of the
 // same step receives the cached vector. The reply is computed at the first
 // puller's parameters; replicated deterministic runs keep their replicas in
-// lockstep (sync quorums plus the MSMW barrier), so every puller carries
+// lockstep (sync quorums plus the phased round, in which every replica
+// pulls gradients before any updates its model), so every puller carries
 // identical parameters and the choice of "first" does not matter.
 func (w *Worker) handleDeterministic(req rpc.Request) rpc.Response {
 	w.detMu.Lock()

@@ -81,7 +81,8 @@ var registry = map[string]struct {
 	"fig16":  {Fig16, "PyTorch-style latency breakdown, GPU (pipelined)"},
 	"table2": {Table2, "parameter-vector alignment: cos(phi) of top difference vectors"},
 
-	// Extension experiments (beyond the paper's figure set; DESIGN.md §6).
+	// Extension experiments (beyond the paper's figure set; see
+	// ARCHITECTURE.md, "The consumers").
 	"ext-momentum":   {ExtMomentum, "EXT: worker momentum restoring the GAR variance condition"},
 	"ext-gars":       {ExtGARs, "EXT: every robust GAR under the reversed-vectors attack"},
 	"ext-stale":      {ExtStale, "EXT: staleness fault vs robust aggregation"},

@@ -13,9 +13,9 @@ import (
 	"garfield/internal/tensor"
 )
 
-// Extension experiments: ablations beyond the paper's figure set, covering
-// the design choices DESIGN.md §6 calls out. Their ids carry an "ext-"
-// prefix so they are never confused with reproduced paper artifacts.
+// Extension experiments: ablations beyond the paper's figure set (see
+// ARCHITECTURE.md, "The consumers"). Their ids carry an "ext-" prefix so
+// they are never confused with reproduced paper artifacts.
 
 // ExtMomentum quantifies how worker-side momentum (the paper's Section-8
 // variance-reduction pointer) affects the GAR variance condition: for each

@@ -255,7 +255,7 @@ func (c *PooledClient) peer(addr string) (*pooledConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, errClientClosed
+		return nil, ErrClientClosed
 	}
 	pc, ok := c.conns[addr]
 	if !ok {
@@ -280,8 +280,8 @@ const (
 // connection I/O without closing the connection.
 var pastDeadline = time.Unix(1, 0)
 
-// errClientClosed is returned for calls issued after Close.
-var errClientClosed = errors.New("rpc: pooled client closed")
+// ErrClientClosed is returned for calls issued after Close.
+var ErrClientClosed = errors.New("rpc: pooled client closed")
 
 // Retry policy for retriable idle-death failures: the first retry is
 // immediate (the overwhelmingly common case is a single severed idle
@@ -386,7 +386,7 @@ func (c *PooledClient) callInto(ctx context.Context, addr string, req Request, d
 // caller-initiated cancellation.
 func (c *PooledClient) callLocked(ctx context.Context, pc *pooledConn, addr string, req Request, dst *tensor.Vector) (vec tensor.Vector, retry bool, err error) {
 	if pc.closed {
-		return nil, false, errClientClosed
+		return nil, false, ErrClientClosed
 	}
 	reused := pc.conn != nil
 	if pc.conn == nil {

@@ -157,3 +157,51 @@ func TestSimMatchesLiveAsyncReplay(t *testing.T) {
 			simRes.Updates, simRes.StaleDrops, simRes.AvgStaleness)
 	}
 }
+
+// TestSimMatchesLiveDecentralized extends the goldens to the decentralized
+// topology on its two sync-quorum shapes: non-IID with the contract step
+// (fw = 0, so every node publishes an aggregate) and IID under a Byzantine
+// node. Two live runs must agree with each other — the phased round runs
+// its nodes in index order under deterministic mode — and with the
+// simulator: same final parameters, same accuracy-curve CSV bytes.
+func TestSimMatchesLiveDecentralized(t *testing.T) {
+	shapes := []struct {
+		name   string
+		fw     int
+		nonIID bool
+	}{
+		{"non-iid-fw0", 0, true},
+		{"iid-fw1", 1, false},
+	}
+	for _, sh := range shapes {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) {
+			t.Parallel()
+			sp := goldenSpec(t, "decentralized-demo")
+			sp.SyncQuorum, sp.FW, sp.NonIID = true, sh.fw, sh.nonIID
+			dir := t.TempDir()
+			liveRes, liveParams := runLeg(t, sp)
+			lb := curveBytes(t, dir, "live", liveRes.Accuracy.Points)
+
+			againRes, againParams := runLeg(t, sp)
+			simSp := sp
+			simSp.Engine = EngineSim
+			simRes, simParams := runLeg(t, simSp)
+			for _, leg := range []struct {
+				name   string
+				res    *core.Result
+				params tensor.Vector
+			}{{"live rerun", againRes, againParams}, {"sim", simRes, simParams}} {
+				if !liveParams.Equal(leg.params) {
+					t.Fatalf("%s: final parameters diverge from live (dim %d)", leg.name, liveParams.Dim())
+				}
+				if liveRes.Updates != leg.res.Updates {
+					t.Fatalf("%s: updates %d, live %d", leg.name, leg.res.Updates, liveRes.Updates)
+				}
+				if b := curveBytes(t, dir, leg.name, leg.res.Accuracy.Points); string(b) != string(lb) {
+					t.Fatalf("%s: accuracy-curve CSV differs:\nlive:\n%s\n%s:\n%s", leg.name, lb, leg.name, b)
+				}
+			}
+		})
+	}
+}

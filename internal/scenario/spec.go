@@ -89,8 +89,8 @@ const (
 	// (internal/sim): direct handler dispatch under a virtual clock, so
 	// thousands of nodes fit in one process and every timestamp is
 	// deterministic. Requires Deterministic; incompatible with fault
-	// schedules and the crash-tolerant/decentralized topologies (their
-	// runners use live-transport machinery the simulator does not model).
+	// schedules and the crash-tolerant topology (crash faults run on the
+	// live transport only).
 	EngineSim = "sim"
 )
 
@@ -413,15 +413,15 @@ type Spec struct {
 	// Deterministic makes repeated runs bit-identical at the same seed:
 	// workers serve one cached gradient estimate per step, servers
 	// aggregate pulled vectors in canonical peer order, and replicated
-	// topologies exchange models in lockstep (see core.Config). Combine
+	// topologies run their replicas in index order (see core.Config). Combine
 	// with SyncQuorum on replicated topologies — a q < n quorum's
 	// responding subset is inherently timing-dependent.
 	Deterministic bool `json:"deterministic,omitempty"`
 
 	// Engine selects the execution substrate: "" or "live" runs over the
 	// in-memory transport, "sim" over the discrete-event simulator (see
-	// Engines). Sim requires Deterministic, supports the single-server and
-	// msmw topologies (plus the deterministic async ssmw replay), and is
+	// Engines). Sim requires Deterministic, supports every topology but
+	// crash-tolerant (plus the deterministic async ssmw replay), and is
 	// incompatible with fault schedules — the simulator has no
 	// fault-injecting transport to schedule them through.
 	Engine string `json:"engine,omitempty"`
@@ -512,6 +512,13 @@ func (sp Spec) Validate() error {
 	}
 	if sp.Topology == TopoMSMW && nps < 2 {
 		return fmt.Errorf("%w: msmw needs nps >= 2, got %d", ErrSpec, nps)
+	}
+	if sp.Topology == TopoDecentralized && sp.SyncQuorum && sp.NonIID && sp.FW > 0 && sp.ContractSteps >= 0 {
+		// Only honest nodes run the round, so the fw Byzantine nodes never
+		// publish an aggregate and a q = nw contract pull cannot complete
+		// (contract_steps 0 defaults to one step).
+		return fmt.Errorf("%w: decentralized non_iid with sync_quorum and fw=%d cannot contract: Byzantine nodes never publish an aggregate for the q=nw pull",
+			ErrSpec, sp.FW)
 	}
 	if sp.Topology == TopoSharded {
 		if sp.Shards < 1 {
@@ -645,10 +652,10 @@ func (sp Spec) validateAsync() error {
 // the sequential deterministic protocol paths only: it requires
 // Deterministic (concurrent steppers would interleave on one event queue in
 // scheduler order, forfeiting reproducibility — the engine's whole point),
-// excludes the crash-tolerant and decentralized topologies (their runners
-// are inherently concurrent), and excludes fault schedules (faults inject
-// through the live fault-injecting transport, which a simulated cluster
-// does not have). The latency knobs in turn require the sim engine: on the
+// excludes the crash-tolerant topology (its backups survive only crash
+// faults, which the simulator does not run yet), and excludes fault
+// schedules (faults inject through the live fault-injecting transport,
+// which a simulated cluster does not have). The latency knobs in turn require the sim engine: on the
 // live transport they would silently do nothing.
 func (sp Spec) validateEngine() error {
 	switch sp.Engine {
@@ -665,8 +672,8 @@ func (sp Spec) validateEngine() error {
 	if !sp.Deterministic {
 		return fmt.Errorf("%w: engine %q requires deterministic mode", ErrSpec, EngineSim)
 	}
-	if sp.Topology == TopoCrashTolerant || sp.Topology == TopoDecentralized {
-		return fmt.Errorf("%w: engine %q does not support topology %q (concurrent runner)",
+	if sp.Topology == TopoCrashTolerant {
+		return fmt.Errorf("%w: engine %q does not support topology %q (no crash faults on the simulator)",
 			ErrSpec, EngineSim, sp.Topology)
 	}
 	if len(sp.Faults) > 0 {

@@ -40,6 +40,10 @@ func TestSpecValidationErrorPaths(t *testing.T) {
 		{"fw >= nw", func(sp *Spec) { sp.FW = 9 }, "fw=9 of nw=9"},
 		{"fps >= nps", func(sp *Spec) { sp.FPS = 4 }, "fps=4 of nps=4"},
 		{"msmw single replica", func(sp *Spec) { sp.NPS, sp.FPS = 1, 0 }, "msmw needs nps >= 2"},
+		{"decentralized sync quorum contract", func(sp *Spec) {
+			sp.Topology, sp.FPS = TopoDecentralized, 0
+			sp.SyncQuorum, sp.NonIID, sp.ContractSteps = true, true, 1
+		}, "Byzantine nodes never publish an aggregate"},
 
 		// GAR resilience requirements, n >= g(f), per topology shape.
 		{"krum requirement ssmw", func(sp *Spec) {
