@@ -8,8 +8,10 @@ import (
 
 	"garfield"
 	"garfield/internal/compress"
+	"garfield/internal/data"
 	"garfield/internal/experiments"
 	"garfield/internal/gar"
+	"garfield/internal/model"
 	"garfield/internal/rpc"
 	"garfield/internal/shard"
 	"garfield/internal/tensor"
@@ -96,6 +98,36 @@ func BenchmarkGARKrum(b *testing.B)        { benchRule(b, gar.NameKrum, 17, 3, 1
 func BenchmarkGARMultiKrum(b *testing.B)   { benchRule(b, gar.NameMultiKrum, 17, 3, 100_000) }
 func BenchmarkGARMDA(b *testing.B)         { benchRule(b, gar.NameMDA, 17, 3, 100_000) }
 func BenchmarkGARBulyan(b *testing.B)      { benchRule(b, gar.NameBulyan, 17, 3, 100_000) }
+
+// --- Model micro-benchmarks (the worker-side compute of a training round) ---
+
+// BenchmarkLinearSoftmaxGradient times one worker gradient of the linear
+// softmax model the round benchmarks train (in = 1000, classes = 100, so
+// d = 100,100), at the batch sizes their workloads use.
+func BenchmarkLinearSoftmaxGradient(b *testing.B) {
+	const in, classes = 1000, 100
+	m, err := model.NewLinearSoftmax(in, classes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := tensor.NewRNG(7)
+	params := rng.NormalVector(m.Dim(), 0, 0.01)
+	for _, bs := range []int{1, 4, 32} {
+		batch := data.Batch{}
+		for i := 0; i < bs; i++ {
+			batch.Features = append(batch.Features, rng.NormalVector(in, 0, 1))
+			batch.Labels = append(batch.Labels, rng.Intn(classes))
+		}
+		b.Run(fmt.Sprintf("b%d", bs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Gradient(params, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkShardedAggregation times the per-replica critical path of one
 // sharded median round at paper scale (d = 1M, n = 7, f = 2). The flat case
@@ -207,9 +239,9 @@ func BenchmarkAblationBulyanInner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRPCClient compares the dial-per-call client (the default,
-// whose per-call independence makes straggler cancellation safe) against the
-// persistent-connection pooled client.
+// BenchmarkAblationRPCClient compares the dial-per-call client, whose
+// per-call independence makes straggler cancellation trivially safe, against
+// the persistent-connection pooled client, the protocol default.
 func BenchmarkAblationRPCClient(b *testing.B) {
 	net := transport.NewMem()
 	rng := tensor.NewRNG(3)

@@ -180,7 +180,7 @@ func (m *CNN) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, e
 	if len(params) != m.Dim() {
 		return nil, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.InputDim(), batch); err != nil {
+	if err := checkBatch(m.InputDim(), m.classes, batch); err != nil {
 		return nil, err
 	}
 	if len(batch.Features) == 0 {
@@ -251,7 +251,7 @@ func (m *CNN) Loss(params tensor.Vector, batch data.Batch) (float64, error) {
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.InputDim(), batch); err != nil {
+	if err := checkBatch(m.InputDim(), m.classes, batch); err != nil {
 		return 0, err
 	}
 	if len(batch.Features) == 0 {

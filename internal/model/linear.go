@@ -42,47 +42,102 @@ func (m *LinearSoftmax) InitParams(rng *tensor.RNG) tensor.Vector {
 }
 
 // logits computes W x + b into out (len classes).
+//
+// The loop is register-blocked over four class rows, so each x[j] load
+// feeds four independent sums. Every sum still starts at 0, adds its terms
+// in j order and adds the bias last: the result is bit-identical to one
+// serial dot product per class.
 func (m *LinearSoftmax) logits(params tensor.Vector, x tensor.Vector, out []float64) {
-	for c := 0; c < m.classes; c++ {
-		row := params[c*m.in : (c+1)*m.in]
+	in, classes := m.in, m.classes
+	x = x[:in]
+	bias := params[classes*in : classes*in+classes]
+	out = out[:classes]
+	c := 0
+	for ; c+4 <= classes; c += 4 {
+		r0 := params[c*in:][:len(x)]
+		r1 := params[(c+1)*in:][:len(x)]
+		r2 := params[(c+2)*in:][:len(x)]
+		r3 := params[(c+3)*in:][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		out[c] = s0 + bias[c]
+		out[c+1] = s1 + bias[c+1]
+		out[c+2] = s2 + bias[c+2]
+		out[c+3] = s3 + bias[c+3]
+	}
+	for ; c < classes; c++ {
+		row := params[c*in:][:len(x)]
 		var s float64
 		for j, xv := range x {
 			s += row[j] * xv
 		}
-		out[c] = s + params[m.classes*m.in+c]
+		out[c] = s + bias[c]
 	}
 }
 
 // Gradient implements Model.
+//
+// It first computes each sample's output deltas (softmax probabilities
+// minus the one-hot label) into one batch x classes slice. It then finishes
+// one gradient row at a time while the row sits in L1, folding in four
+// samples per pass. Each coordinate still receives its terms one by one in
+// batch order, exactly as a sample-major loop adds them, so the result is
+// bit-identical to it.
 func (m *LinearSoftmax) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, error) {
 	if len(params) != m.Dim() {
 		return nil, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return nil, err
 	}
 	if len(batch.Features) == 0 {
 		return nil, data.ErrEmptyDataset
 	}
+	in, classes := m.in, m.classes
+	xs := batch.Features
+	n := len(xs)
 	grad := tensor.New(m.Dim())
-	probs := make([]float64, m.classes)
-	for i, x := range batch.Features {
-		m.logits(params, x, probs)
-		softmaxInPlace(probs)
-		y := batch.Labels[i]
-		for c := 0; c < m.classes; c++ {
-			delta := probs[c]
-			if c == y {
-				delta -= 1
+	deltas := make([]float64, n*classes)
+	for i, x := range xs {
+		d := deltas[i*classes : (i+1)*classes]
+		m.logits(params, x, d)
+		softmaxInPlace(d)
+		d[batch.Labels[i]] -= 1
+	}
+	gb := grad[classes*in : classes*in+classes]
+	for c := 0; c < classes; c++ {
+		row := grad[c*in : (c+1)*in]
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			d0, d1 := deltas[i*classes+c], deltas[(i+1)*classes+c]
+			d2, d3 := deltas[(i+2)*classes+c], deltas[(i+3)*classes+c]
+			x0, x1 := xs[i][:len(row)], xs[i+1][:len(row)]
+			x2, x3 := xs[i+2][:len(row)], xs[i+3][:len(row)]
+			for j := range row {
+				r := row[j]
+				r += d0 * x0[j]
+				r += d1 * x1[j]
+				r += d2 * x2[j]
+				r += d3 * x3[j]
+				row[j] = r
 			}
-			row := grad[c*m.in : (c+1)*m.in]
-			for j, xv := range x {
-				row[j] += delta * xv
+		}
+		for ; i < n; i++ {
+			d, x := deltas[i*classes+c], xs[i][:len(row)]
+			for j := range row {
+				row[j] += d * x[j]
 			}
-			grad[m.classes*m.in+c] += delta
+		}
+		for i := 0; i < n; i++ {
+			gb[c] += deltas[i*classes+c]
 		}
 	}
-	grad.ScaleInPlace(1 / float64(len(batch.Features)))
+	grad.ScaleInPlace(1 / float64(n))
 	return grad, nil
 }
 
@@ -91,7 +146,7 @@ func (m *LinearSoftmax) Loss(params tensor.Vector, batch data.Batch) (float64, e
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return 0, err
 	}
 	if len(batch.Features) == 0 {

@@ -94,7 +94,7 @@ func (m *MLP) Gradient(params tensor.Vector, batch data.Batch) (tensor.Vector, e
 	if len(params) != m.Dim() {
 		return nil, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return nil, err
 	}
 	if len(batch.Features) == 0 {
@@ -151,7 +151,7 @@ func (m *MLP) Loss(params tensor.Vector, batch data.Batch) (float64, error) {
 	if len(params) != m.Dim() {
 		return 0, fmt.Errorf("%w: want %d, got %d", ErrBadParams, m.Dim(), len(params))
 	}
-	if err := checkBatch(m.in, batch); err != nil {
+	if err := checkBatch(m.in, m.classes, batch); err != nil {
 		return 0, err
 	}
 	if len(batch.Features) == 0 {

@@ -82,10 +82,18 @@ func argmax(xs []float64) int {
 	return best
 }
 
-func checkBatch(in int, b data.Batch) error {
-	for _, f := range b.Features {
+// checkBatch rejects a batch whose features do not have in coordinates or
+// whose labels are not one per sample in [0, classes).
+func checkBatch(in, classes int, b data.Batch) error {
+	if len(b.Labels) != len(b.Features) {
+		return fmt.Errorf("%w: %d labels for %d samples", ErrBadInput, len(b.Labels), len(b.Features))
+	}
+	for i, f := range b.Features {
 		if len(f) != in {
 			return fmt.Errorf("%w: model expects %d features, got %d", ErrBadInput, in, len(f))
+		}
+		if y := b.Labels[i]; y < 0 || y >= classes {
+			return fmt.Errorf("%w: label %d outside [0, %d)", ErrBadInput, y, classes)
 		}
 	}
 	return nil

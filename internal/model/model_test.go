@@ -2,6 +2,7 @@ package model
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -234,6 +235,56 @@ func TestInputDimValidation(t *testing.T) {
 	}
 }
 
+// TestLabelRangeValidation: a label outside [0, classes), or a missing one,
+// is rejected with ErrBadInput by Gradient and Loss of every model, instead
+// of being silently dropped or panicking.
+func TestLabelRangeValidation(t *testing.T) {
+	linear, err := NewLinearSoftmax(6, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mlp, err := NewMLP(6, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cnn, err := NewCNN(4, 4, 1, 3, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := []struct {
+		name  string
+		m     Model
+		in    int
+		label int
+	}{
+		{"linear label=classes", linear, 6, 3},
+		{"linear label=-1", linear, 6, -1},
+		{"mlp label=classes", mlp, 6, 3},
+		{"mlp label=-1", mlp, 6, -1},
+		{"cnn label=classes", cnn, cnn.InputDim(), 3},
+		{"cnn label=-1", cnn, cnn.InputDim(), -1},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			params := tc.m.InitParams(tensor.NewRNG(1))
+			batch := data.Batch{
+				Features: []tensor.Vector{tensor.New(tc.in), tensor.New(tc.in)},
+				Labels:   []int{0, tc.label},
+			}
+			if _, err := tc.m.Gradient(params, batch); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("Gradient err = %v, want ErrBadInput", err)
+			}
+			if _, err := tc.m.Loss(params, batch); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("Loss err = %v, want ErrBadInput", err)
+			}
+		})
+	}
+	short := data.Batch{Features: []tensor.Vector{tensor.New(6), tensor.New(6)}, Labels: []int{0}}
+	if _, err := linear.Gradient(linear.InitParams(tensor.NewRNG(1)), short); !errors.Is(err, ErrBadInput) {
+		t.Fatalf("missing label: err = %v, want ErrBadInput", err)
+	}
+}
+
 func TestEmptyBatch(t *testing.T) {
 	m, err := NewLinearSoftmax(10, 3)
 	if err != nil {
@@ -331,5 +382,148 @@ func TestInitParamsDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("InitParams not deterministic")
 		}
+	}
+}
+
+// The reference LinearSoftmax kernels: the straightforward sample-major
+// loops the register-blocked kernels must match bit for bit.
+
+func refLinearLogits(m *LinearSoftmax, params tensor.Vector, x tensor.Vector, out []float64) {
+	for c := 0; c < m.classes; c++ {
+		row := params[c*m.in : (c+1)*m.in]
+		var s float64
+		for j, xv := range x {
+			s += row[j] * xv
+		}
+		out[c] = s + params[m.classes*m.in+c]
+	}
+}
+
+func refLinearGradient(m *LinearSoftmax, params tensor.Vector, batch data.Batch) tensor.Vector {
+	grad := tensor.New(m.Dim())
+	probs := make([]float64, m.classes)
+	for i, x := range batch.Features {
+		refLinearLogits(m, params, x, probs)
+		softmaxInPlace(probs)
+		y := batch.Labels[i]
+		for c := 0; c < m.classes; c++ {
+			delta := probs[c]
+			if c == y {
+				delta -= 1
+			}
+			row := grad[c*m.in : (c+1)*m.in]
+			for j, xv := range x {
+				row[j] += delta * xv
+			}
+			grad[m.classes*m.in+c] += delta
+		}
+	}
+	grad.ScaleInPlace(1 / float64(len(batch.Features)))
+	return grad
+}
+
+func refLinearLoss(m *LinearSoftmax, params tensor.Vector, batch data.Batch) float64 {
+	probs := make([]float64, m.classes)
+	var loss float64
+	for i, x := range batch.Features {
+		refLinearLogits(m, params, x, probs)
+		softmaxInPlace(probs)
+		loss += -logClamped(probs[batch.Labels[i]])
+	}
+	return loss / float64(len(batch.Features))
+}
+
+func refLinearAccuracy(m *LinearSoftmax, params tensor.Vector, ds *data.Dataset) float64 {
+	probs := make([]float64, m.classes)
+	correct := 0
+	for i, x := range ds.Features {
+		refLinearLogits(m, params, x, probs)
+		if argmax(probs) == ds.Labels[i] {
+			correct++
+		}
+	}
+	return float64(correct) / float64(ds.Len())
+}
+
+// sameBits reports whether a and b are the same float64 bit pattern, or
+// both NaN (NaN payloads may differ between equivalent operation orders).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestLinearSoftmaxMatchesReferenceBits: the register-blocked logits and
+// Gradient perform the same IEEE operations in the same order as the
+// reference loops, so Gradient, Loss and Accuracy agree bit for bit. The
+// shapes cover every remainder path (class counts and batch sizes not
+// divisible by the block of 4, batch 1) and the d = 100,100 workload shape;
+// the poisoned case seeds the parameters with ±Inf and NaN, the shape of a
+// Byzantine-driven divergence.
+func TestLinearSoftmaxMatchesReferenceBits(t *testing.T) {
+	tests := []struct {
+		in, classes, batch int
+		poison             bool
+	}{
+		{1000, 100, 1, false},
+		{1000, 100, 4, false},
+		{1000, 100, 32, false},
+		{1000, 100, 33, false},
+		{7, 3, 5, false},
+		{13, 5, 9, false},
+		{5, 2, 1, false},
+		{3, 6, 7, false},
+		{9, 11, 4, false},
+		{13, 5, 9, true},
+		{1000, 100, 33, true},
+	}
+	for _, tc := range tests {
+		name := fmt.Sprintf("in%d_c%d_b%d", tc.in, tc.classes, tc.batch)
+		if tc.poison {
+			name += "_poisoned"
+		}
+		t.Run(name, func(t *testing.T) {
+			m, err := NewLinearSoftmax(tc.in, tc.classes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := tensor.NewRNG(uint64(tc.in*1000 + tc.classes*10 + tc.batch))
+			params := rng.NormalVector(m.Dim(), 0, 0.5)
+			if tc.poison {
+				params[0] = math.Inf(1)
+				params[tc.in+1] = math.Inf(-1)
+				params[m.Dim()-1] = math.NaN()
+			}
+			ds := &data.Dataset{}
+			for i := 0; i < tc.batch; i++ {
+				ds.Features = append(ds.Features, rng.NormalVector(tc.in, 0, 1))
+				ds.Labels = append(ds.Labels, rng.Intn(tc.classes))
+			}
+			batch := data.Batch{Features: ds.Features, Labels: ds.Labels}
+
+			grad, err := m.Gradient(params, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refLinearGradient(m, params, batch)
+			for i := range want {
+				if !sameBits(grad[i], want[i]) {
+					t.Fatalf("gradient[%d] = %v (%#x), reference %v (%#x)",
+						i, grad[i], math.Float64bits(grad[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+			loss, err := m.Loss(params, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantLoss := refLinearLoss(m, params, batch); !sameBits(loss, wantLoss) {
+				t.Fatalf("loss = %v, reference %v", loss, wantLoss)
+			}
+			acc, err := m.Accuracy(params, ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantAcc := refLinearAccuracy(m, params, ds); !sameBits(acc, wantAcc) {
+				t.Fatalf("accuracy = %v, reference %v", acc, wantAcc)
+			}
+		})
 	}
 }

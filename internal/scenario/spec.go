@@ -139,6 +139,18 @@ func (m ModelSpec) inputDim() int {
 	return 0
 }
 
+// outputClasses returns the number of classes the model predicts, or 0 when
+// the kind is unknown.
+func (m ModelSpec) outputClasses() int {
+	switch m.Kind {
+	case ModelLinear, ModelMLP, ModelCNN:
+		return m.Classes
+	case ModelMNISTCNN:
+		return 10
+	}
+	return 0
+}
+
 // DatasetSpec mirrors data.SyntheticSpec with JSON tags: a deterministic
 // Gaussian-mixture stand-in for the paper's datasets.
 type DatasetSpec struct {
@@ -715,6 +727,9 @@ func (sp Spec) validateTask() error {
 	}
 	if in := sp.Model.inputDim(); in != 0 && in != d.Dim {
 		return fmt.Errorf("%w: model input dim %d != dataset dim %d", ErrSpec, in, d.Dim)
+	}
+	if out := sp.Model.outputClasses(); d.Classes > out {
+		return fmt.Errorf("%w: dataset has %d classes but the model predicts %d", ErrSpec, d.Classes, out)
 	}
 	return nil
 }

@@ -90,6 +90,7 @@ func TestSpecValidationErrorPaths(t *testing.T) {
 		// Task shape.
 		{"unknown model kind", func(sp *Spec) { sp.Model.Kind = "transformer" }, "unknown model kind"},
 		{"dim mismatch", func(sp *Spec) { sp.Model.In = 32 }, "model input dim 32 != dataset dim 64"},
+		{"fewer model classes than dataset", func(sp *Spec) { sp.Model.Classes = 5 }, "dataset has 10 classes but the model predicts 5"},
 		{"zero batch", func(sp *Spec) { sp.BatchSize = 0 }, "batch_size=0"},
 		{"zero iterations", func(sp *Spec) { sp.Iterations = 0 }, "iterations=0"},
 

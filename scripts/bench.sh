@@ -32,7 +32,7 @@ else
   OUT="BENCH_${n}.json"
 fi
 BENCHTIME="${BENCHTIME:-20x}"
-BENCHES='BenchmarkGARKrum$|BenchmarkGARMultiKrum$|BenchmarkGARMDA$|BenchmarkGARBulyan$|BenchmarkGARMedian$|BenchmarkVectorCodec$|BenchmarkRPCPullFirstQ$|BenchmarkLiveSSMWIteration$|BenchmarkCompressFP64$|BenchmarkCompressFP16$|BenchmarkCompressInt8$|BenchmarkCompressTopK$|BenchmarkCompressedPull$|BenchmarkShardedAggregation$'
+BENCHES='BenchmarkGARKrum$|BenchmarkGARMultiKrum$|BenchmarkGARMDA$|BenchmarkGARBulyan$|BenchmarkGARMedian$|BenchmarkVectorCodec$|BenchmarkRPCPullFirstQ$|BenchmarkLiveSSMWIteration$|BenchmarkCompressFP64$|BenchmarkCompressFP16$|BenchmarkCompressInt8$|BenchmarkCompressTopK$|BenchmarkCompressedPull$|BenchmarkShardedAggregation$|BenchmarkLinearSoftmaxGradient$'
 
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
