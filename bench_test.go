@@ -239,43 +239,6 @@ func BenchmarkAblationBulyanInner(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRPCClient compares the dial-per-call client, whose
-// per-call independence makes straggler cancellation trivially safe, against
-// the persistent-connection pooled client, the protocol default.
-func BenchmarkAblationRPCClient(b *testing.B) {
-	net := transport.NewMem()
-	rng := tensor.NewRNG(3)
-	vec := rng.NormalVector(10_000, 0, 1)
-	srv, err := rpc.Serve(net, "peer", rpc.HandlerFunc(func(rpc.Request) rpc.Response {
-		return rpc.Response{OK: true, Vec: vec}
-	}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	req := rpc.Request{Kind: rpc.KindGetModel}
-
-	b.Run("dial-per-call", func(b *testing.B) {
-		c := rpc.NewClient(net)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Call(context.Background(), "peer", req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("pooled", func(b *testing.B) {
-		c := rpc.NewPooledClient(net)
-		defer c.Close()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := c.Call(context.Background(), "peer", req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkRPCPullFirstQ measures the first-q-of-n pull primitive that
 // implements get_gradients(t, q), over the in-memory transport with the
 // protocol-default pooled client.

@@ -187,6 +187,23 @@ func TestSimCommand(t *testing.T) {
 	}
 }
 
+// TestSimCommandAsync: the deterministic async replay runs no quorum pull
+// round, so the report says so instead of printing zero step latencies.
+func TestSimCommandAsync(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"sim", "-topology", "ssmw", "-async", "-n", "20", "-fw", "2", "-iters", "3"}, &buf)
+	if err != nil {
+		t.Fatalf("async sim command failed: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	if !strings.Contains(out, "no quorum pull rounds ran") || strings.Contains(out, "p50") {
+		t.Errorf("async sim output should report no pull rounds, not latencies:\n%s", out)
+	}
+	if !strings.Contains(out, "updates 3") {
+		t.Errorf("async sim output missing the update count:\n%s", out)
+	}
+}
+
 func TestChaosCommandSinglePreset(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"chaos", "-preset", "chaos-corrupt-link", "-quick"}, &buf); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,17 +36,19 @@ import (
 // dropped or created, and the quorum and aggregator shapes track the new
 // fleet. The iteration in flight completes against the old roster.
 //
-// Two determinism regimes exist, mirroring the lockstep protocols:
+// One loop, asyncReplicaLoop, runs every async replica; only the source of
+// the gradient estimates that feed its queues depends on the determinism
+// regime:
 //
-//   - the live engine (goroutine fetchers, real queues) is throughput-true
-//     but scheduling-dependent, like any async system;
-//   - with Config.Deterministic set, RunAsyncSSMW switches to a
-//     single-threaded seeded replay (runAsyncSSMWReplay): worker fetch
-//     latencies are drawn from an RNG derived from the cluster seed, and
-//     the whole queue/staleness-filter/damping pipeline runs over that
-//     synthetic schedule, so a run is bit-identical at the same seed. The
-//     replay snapshots the roster once at run start — segmented scenarios
-//     apply churn between runs, and each run re-reads the roster.
+//   - the live engine runs one fetcher goroutine per worker — throughput-
+//     true but scheduling-dependent, like any async system;
+//   - with Config.Deterministic set, a seeded replay schedule
+//     (replaySchedule) stands in for the fetchers: worker fetch latencies
+//     are drawn from an RNG derived from the cluster seed, and each fetch
+//     completes as a sequential Call pushed into the same queues, so
+//     selection, damping and staleness accounting are the live engine's
+//     and a run is bit-identical at the same seed. Only the single-server
+//     topology supports it.
 
 // Default async tuning; see Config.StalenessBound / StalenessDamping.
 const (
@@ -186,7 +189,7 @@ func (g *gradQueues) tryCollect(now uint32, q, tau int) []asyncPick {
 
 // collect blocks until tryCollect succeeds or the deadline passes.
 func (g *gradQueues) collect(now uint32, q, tau int, timeout time.Duration) ([]asyncPick, error) {
-	//lint:allow wallclock(liveness timeout of the live async engine; deterministic async runs use the single-threaded replay, which never calls collect)
+	//lint:allow wallclock(liveness timeout of the live async engine; deterministic async runs collect through the replay schedule, which never calls collect)
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	for {
@@ -196,10 +199,18 @@ func (g *gradQueues) collect(now uint32, q, tau int, timeout time.Duration) ([]a
 		select {
 		case <-g.notify:
 		case <-timer.C:
-			return nil, fmt.Errorf("core: async step %d: %w: fewer than %d fresh gradients within %v",
+			return nil, fmt.Errorf("async step %d: %w: fewer than %d fresh gradients within %v",
 				now, rpc.ErrQuorum, q, timeout)
 		}
 	}
+}
+
+// countDrop counts one estimate discarded for exceeding the bound before it
+// reached a queue (a replay fetch that completed already too stale).
+func (g *gradQueues) countDrop() {
+	g.mu.Lock()
+	g.drops++
+	g.mu.Unlock()
 }
 
 // dropCount returns the number of bound-exceeding entries discarded so far.
@@ -220,11 +231,7 @@ func (c *Cluster) asyncFetch(ctx context.Context, s *Server, queues *gradQueues,
 	backoff := time.Millisecond
 	for ctx.Err() == nil {
 		params, step := s.Snapshot()
-		callCtx, cancel := context.WithTimeout(ctx, c.cfg.PullTimeout)
-		vec, err := s.client.Call(callCtx, addr, rpc.Request{
-			Kind: rpc.KindGetGradient, Step: step, Accept: s.accept, Vec: params,
-		})
-		cancel()
+		vec, err := c.pullGradient(ctx, s, addr, step, params)
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -241,6 +248,16 @@ func (c *Cluster) asyncFetch(ctx context.Context, s *Server, queues *gradQueues,
 		backoff = time.Millisecond
 		queues.push(w, taggedGrad{vec: vec, step: step})
 	}
+}
+
+// pullGradient issues one get_gradient call for the parameters of step to
+// the worker at addr, bounded by Config.PullTimeout.
+func (c *Cluster) pullGradient(ctx context.Context, s *Server, addr string, step uint32, params tensor.Vector) (tensor.Vector, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.PullTimeout)
+	defer cancel()
+	return s.client.Call(ctx, addr, rpc.Request{
+		Kind: rpc.KindGetGradient, Step: step, Accept: s.accept, Vec: params,
+	})
 }
 
 // dampPicks scales stale gradients by damping^staleness in place (the popped
@@ -271,25 +288,13 @@ func pickVectors(picks []asyncPick) []tensor.Vector {
 // RunAsyncSSMW trains the single-server multi-worker topology with the
 // bounded-staleness engine: the server updates as soon as q_w = n_w - f_w
 // sufficiently fresh gradients are queued, instead of barrier-waiting a full
-// pull round. With Config.Deterministic it switches to the seeded
-// single-threaded replay, which is bit-identical across runs at one seed.
+// pull round. With Config.Deterministic the queues are fed by the seeded
+// replay schedule, which is bit-identical across runs at one seed.
 func (c *Cluster) RunAsyncSSMW(opt RunOptions) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	if c.cfg.Deterministic {
-		return c.runAsyncSSMWReplay(opt)
-	}
-	res := newResult("async-ssmw")
-	start := c.clock.Now()
-	wire0 := c.WireStats()
-	s := c.Server(c.Roster().Servers[0])
-	if err := c.asyncReplicaLoop(res, s, false, opt, start, true); err != nil {
-		return nil, fmt.Errorf("core: async-ssmw: %w", err)
-	}
-	res.WallTime = c.clock.Now().Sub(start)
-	res.Wire = c.WireStats().Sub(wire0)
-	return res, nil
+	return c.runAsync("async-ssmw", c.Roster().Servers[:1], false, opt)
 }
 
 // RunAsyncMSMW trains the replicated topology asynchronously: every honest
@@ -299,8 +304,8 @@ func (c *Cluster) RunAsyncSSMW(opt RunOptions) (*Result, error) {
 // barrier, so replicas observe each other mid-update and contraction is what
 // keeps them close. Accuracy, throughput and staleness are observed at the
 // first honest replica. Deterministic mode is not supported here (the replay
-// story covers the single-server topology); RunAsyncMSMW returns ErrConfig
-// for it.
+// schedule covers the single-server topology); RunAsyncMSMW returns
+// ErrConfig for it.
 func (c *Cluster) RunAsyncMSMW(opt RunOptions) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
@@ -311,17 +316,21 @@ func (c *Cluster) RunAsyncMSMW(opt RunOptions) (*Result, error) {
 	if c.cfg.Deterministic {
 		return nil, fmt.Errorf("%w: deterministic async replay supports the single-server topology only", ErrConfig)
 	}
-	honest := c.Roster().HonestServers()
-	res := newResult("async-msmw")
+	return c.runAsync("async-msmw", c.Roster().HonestServers(), true, opt)
+}
+
+// runAsync runs asyncReplicaLoop at every replica through forEach — one
+// goroutine each, since Deterministic runs have a single replica — recording
+// at the first, and closes the run's wall time and wire accounting.
+func (c *Cluster) runAsync(name string, replicas []int, contract bool, opt RunOptions) (*Result, error) {
+	res := newResult(name)
 	start := c.clock.Now()
 	wire0 := c.WireStats()
-	// Deterministic is rejected above, so forEach runs one goroutine per
-	// replica.
-	k, err := c.forEach(len(honest), func(k int) error {
-		return c.asyncReplicaLoop(res, c.Server(honest[k]), true, opt, start, k == 0)
+	k, err := c.forEach(len(replicas), func(k int) error {
+		return c.asyncReplicaLoop(res, c.Server(replicas[k]), contract, opt, start, k == 0)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: async-msmw replica %d: %w", honest[k], err)
+		return nil, fmt.Errorf("core: %s replica %d: %w", name, replicas[k], err)
 	}
 	res.WallTime = c.clock.Now().Sub(start)
 	res.Wire = c.WireStats().Sub(wire0)
@@ -329,7 +338,8 @@ func (c *Cluster) RunAsyncMSMW(opt RunOptions) (*Result, error) {
 }
 
 // asyncReplicaLoop drives one replica's bounded-staleness training loop:
-// fetchers feed the queues, each iteration collects a fresh quorum, damps,
+// fetchers (or, under Config.Deterministic, the seeded replay schedule) feed
+// the queues, each iteration collects a fresh quorum, damps,
 // aggregates and updates, and (with contract set) every ModelAggEvery
 // updates the replica contracts toward its peers by pulling and
 // robust-aggregating q_ps models. Between iterations the loop polls the
@@ -350,8 +360,20 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 
 	ro := c.Roster()
 	queues := newGradQueues(ro.Workers)
-	cancels := make(map[int]context.CancelFunc, len(ro.Workers))
+	collect := func(now uint32, q int) ([]asyncPick, error) {
+		return queues.collect(now, q, tau, cfg.PullTimeout)
+	}
+	var replay *replaySchedule
+	if cfg.Deterministic {
+		replay = newReplaySchedule(c, s, queues, tau)
+		collect = replay.collect
+	}
+	cancels := make(map[int]func(), len(ro.Workers))
 	spawn := func(w int, addr string) {
+		if replay != nil {
+			cancels[w] = replay.spawn(w, addr)
+			return
+		}
 		fctx, fcancel := context.WithCancel(ctx)
 		cancels[w] = fcancel
 		fetchers.Add(1)
@@ -393,7 +415,7 @@ func (c *Cluster) asyncReplicaLoop(res *Result, s *Server, contract bool, opt Ru
 			return fmt.Errorf("async iteration %d: %w", i, err)
 		}
 		commDone := c.phaseTimer()
-		picks, err := queues.collect(s.Step(), q, tau, cfg.PullTimeout)
+		picks, err := collect(s.Step(), q)
 		if record {
 			res.Breakdown.AddComm(commDone())
 		}
@@ -459,11 +481,44 @@ func (c *Cluster) asyncModelExchange(s *Server, modelAgg *Aggregator, qps int) e
 // consumer of the cluster seed.
 const asyncReplaySalt = 0x61737963 // "asyc"
 
-// replayFetch models one worker's in-flight pull in the seeded replay.
+// replaySchedule is the deterministic stand-in for one replica's fetcher
+// goroutines: a single-threaded event schedule in which worker fetch
+// latencies come from an RNG seeded by the cluster seed instead of the
+// scheduler, so fetch completion order is a pure function of the seed.
+// Completions run sequentially on the replica's loop — each one a real Call
+// over the RPC path, so attacks, momentum and fault injection behave exactly
+// as in the live engine — and push into the loop's gradQueues. The schedule
+// spawns no goroutine and reads no clock, so it runs identically under the
+// live and the simulator wiring.
+type replaySchedule struct {
+	c      *Cluster
+	s      *Server
+	queues *gradQueues
+	tau    int
+	rng    *tensor.RNG
+	vt     float64 // virtual time of the latest completion
+	// snapshots rings the parameters of the last tau+1 steps: a fetch
+	// tagged with step t0 reads snapshots[t0 % (tau+1)], valid exactly while
+	// its result could still pass the staleness filter.
+	snapshots []tensor.Vector
+	fetches   []replayFetch // in spawn order, which breaks completion ties
+}
+
+// replayFetch models one worker's in-flight pull.
 type replayFetch struct {
-	tag  uint32  // step of the parameters the fetch observes
-	done float64 // virtual completion time
-	dead bool    // worker no longer answers (crashed or always-omitting)
+	worker int
+	addr   string
+	tag    uint32  // step of the parameters the fetch observes
+	done   float64 // virtual completion time
+	dead   bool    // worker no longer answers (crashed or always-omitting)
+}
+
+func newReplaySchedule(c *Cluster, s *Server, queues *gradQueues, tau int) *replaySchedule {
+	return &replaySchedule{
+		c: c, s: s, queues: queues, tau: tau,
+		rng:       tensor.NewRNG(c.cfg.Seed ^ asyncReplaySalt),
+		snapshots: make([]tensor.Vector, tau+1),
+	}
 }
 
 // replayLatency draws one fetch duration (in model steps) from the replay's
@@ -478,131 +533,57 @@ func replayLatency(rng *tensor.RNG, tau int) float64 {
 	return l
 }
 
-// runAsyncSSMWReplay is the deterministic counterpart of the live async
-// engine: a single-threaded event simulation in which worker fetch latencies
-// come from an RNG seeded by the cluster seed instead of the scheduler. The
-// same queue semantics apply — gradients are tagged with the step of the
-// parameters they observed, filtered by the staleness bound and damped — but
-// fetch completion order is a pure function of the seed, so two runs are
-// bit-identical. Gradient pulls still travel the real RPC path (issued
-// sequentially, in completion order), so attacks, momentum and fault
-// injection behave exactly as in the live engine. The roster is snapshotted
-// once at run start: segmented scenarios apply churn between runs, and the
-// fleet shape at that point (not the construction-time Config) defines the
-// schedule, so the replay stays bit-identical per (seed, roster).
-func (c *Cluster) runAsyncSSMWReplay(opt RunOptions) (*Result, error) {
-	cfg := c.cfg
-	ro := c.Roster()
-	q := ro.NW() - ro.FW
-	tau, damping := cfg.asyncParams()
-	agg, err := NewAggregator(cfg.Rule, q, ro.FW)
-	if err != nil {
-		return nil, fmt.Errorf("core: async-ssmw: %w", err)
+// spawn starts worker w's first fetch against the current model state and
+// returns the cancel that takes the worker out of the schedule.
+func (r *replaySchedule) spawn(w int, addr string) func() {
+	r.fetches = append(r.fetches, replayFetch{
+		worker: w, addr: addr, tag: r.s.Step(), done: r.vt + replayLatency(r.rng, r.tau),
+	})
+	return func() {
+		r.fetches = slices.DeleteFunc(r.fetches, func(f replayFetch) bool { return f.worker == w })
 	}
-	res := newResult("async-ssmw")
-	s := c.Server(ro.Servers[0])
-	rng := tensor.NewRNG(cfg.Seed ^ asyncReplaySalt)
-
-	// Ring of parameter snapshots for the last tau+1 steps: a fetch tagged
-	// with step t0 reads snapshots[t0 % depth], valid exactly while the
-	// result could still pass the staleness filter.
-	depth := uint32(tau + 1)
-	snapshots := make([]tensor.Vector, depth)
-
-	fetches := make([]replayFetch, ro.NW())
-	vt := 0.0 // virtual clock
-	for k := range fetches {
-		fetches[k] = replayFetch{tag: s.Step(), done: replayLatency(rng, tau)}
-	}
-
-	start := c.clock.Now()
-	wire0 := c.WireStats()
-	staleSum, drops := 0, 0
-	for i := 0; i < opt.Iterations; i++ {
-		now := s.Step()
-		snapshots[now%depth] = s.Params()
-
-		// Run fetch completions, earliest virtual finisher first, until q
-		// distinct workers hold a fresh gradient for this step.
-		ready := make(map[int]asyncPick, q)
-		guard := 0
-		for len(ready) < q {
-			if guard++; guard > 4*ro.NW()*(tau+2)+16 {
-				return nil, fmt.Errorf("core: async-ssmw replay step %d: schedule failed to produce a quorum", now)
-			}
-			k, live := -1, 0
-			for j := range fetches {
-				if fetches[j].dead {
-					continue
-				}
-				live++
-				if k < 0 || fetches[j].done < fetches[k].done {
-					k = j
-				}
-			}
-			if live < q {
-				return nil, fmt.Errorf("core: async-ssmw replay step %d: %w: %d live workers for quorum %d",
-					now, rpc.ErrQuorum, live, q)
-			}
-			if fetches[k].done > vt {
-				vt = fetches[k].done
-			}
-			if staleness := int(now - fetches[k].tag); staleness <= tau {
-				vec, err := c.replayPull(s, ro.WorkerAddrs[k], fetches[k].tag, snapshots[fetches[k].tag%depth])
-				if err != nil {
-					// A crashed or always-omitting worker: out of the
-					// schedule for the rest of this run segment.
-					fetches[k].dead = true
-					continue
-				}
-				ready[k] = asyncPick{worker: ro.Workers[k], staleness: staleness, vec: vec}
-			} else {
-				drops++ // completed too stale to be worth pulling
-			}
-			// Start the next fetch against the current model state.
-			fetches[k].tag = now
-			fetches[k].done = vt + replayLatency(rng, tau)
-		}
-
-		picks := make([]asyncPick, 0, len(ready))
-		for _, p := range ready {
-			picks = append(picks, p)
-		}
-		sort.Slice(picks, func(a, b int) bool {
-			if picks[a].staleness != picks[b].staleness {
-				return picks[a].staleness < picks[b].staleness
-			}
-			return picks[a].worker < picks[b].worker
-		})
-		staleSum += dampPicks(picks, damping)
-		aggr, err := agg.Aggregate(pickVectors(picks))
-		if err != nil {
-			return nil, fmt.Errorf("core: async-ssmw replay iteration %d: %w", i, err)
-		}
-		if err := s.UpdateModel(aggr); err != nil {
-			return nil, err
-		}
-		res.Breakdown.EndIteration()
-		res.Updates++
-		if err := c.recordAccuracy(res, s, opt, i, start); err != nil {
-			return nil, err
-		}
-	}
-	if opt.Iterations > 0 && q > 0 {
-		res.AvgStaleness = float64(staleSum) / float64(opt.Iterations*q)
-	}
-	res.StaleDrops = drops
-	res.WallTime = c.clock.Now().Sub(start)
-	res.Wire = c.WireStats().Sub(wire0)
-	return res, nil
 }
 
-// replayPull issues one sequential gradient pull over the real RPC path for
-// the replay engine.
-func (c *Cluster) replayPull(s *Server, addr string, step uint32, params tensor.Vector) (tensor.Vector, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PullTimeout)
-	defer cancel()
-	return s.client.Call(ctx, addr, rpc.Request{
-		Kind: rpc.KindGetGradient, Step: step, Accept: s.accept, Vec: params,
-	})
+// collect is the replay's gradQueues.collect: it snapshots step now's
+// parameters, then runs fetch completions, earliest virtual finisher first,
+// until tryCollect finds a fresh quorum of q. A completion already staler
+// than tau is counted as a drop without a pull (its snapshot is gone); a
+// failed pull takes its worker out of the schedule for the rest of the run.
+// Every other completion is pushed, and each completing worker starts its
+// next fetch against the current model.
+func (r *replaySchedule) collect(now uint32, q int) ([]asyncPick, error) {
+	depth := uint32(len(r.snapshots))
+	r.snapshots[now%depth] = r.s.Params()
+	for {
+		if picks := r.queues.tryCollect(now, q, r.tau); picks != nil {
+			return picks, nil
+		}
+		k, live := -1, 0
+		for j, f := range r.fetches {
+			if f.dead {
+				continue
+			}
+			live++
+			if k < 0 || f.done < r.fetches[k].done {
+				k = j
+			}
+		}
+		if live < q {
+			return nil, fmt.Errorf("async step %d: %w: %d live workers for quorum %d",
+				now, rpc.ErrQuorum, live, q)
+		}
+		f := &r.fetches[k]
+		r.vt = max(r.vt, f.done)
+		if int(now-f.tag) > r.tau {
+			r.queues.countDrop()
+		} else {
+			vec, err := r.c.pullGradient(context.Background(), r.s, f.addr, f.tag, r.snapshots[f.tag%depth])
+			if err != nil {
+				f.dead = true
+				continue
+			}
+			r.queues.push(f.worker, taggedGrad{vec: vec, step: f.tag})
+		}
+		f.tag, f.done = now, r.vt+replayLatency(r.rng, r.tau)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +70,27 @@ func TestAsyncSSMWQuorumFailure(t *testing.T) {
 	_, err := c.RunAsyncSSMW(RunOptions{Iterations: 5})
 	if !errors.Is(err, rpc.ErrQuorum) {
 		t.Fatalf("err = %v, want ErrQuorum", err)
+	}
+}
+
+// TestAsyncReplayQuorumFailure is the deterministic counterpart of
+// TestAsyncSSMWQuorumFailure: the replay schedule takes crashed workers out
+// of the schedule, and with fewer live workers than the quorum the run fails
+// with ErrQuorum instead of spinning, naming the step and the live count once.
+func TestAsyncReplayQuorumFailure(t *testing.T) {
+	cfg := detConfig(t)
+	cfg.SyncQuorum = false
+	c := newTestCluster(t, cfg)
+	// Quorum is nw - fw = 4; crashing two workers leaves only 3.
+	c.CrashWorker(0)
+	c.CrashWorker(1)
+	_, err := c.RunAsyncSSMW(RunOptions{Iterations: 5})
+	if !errors.Is(err, rpc.ErrQuorum) {
+		t.Fatalf("err = %v, want ErrQuorum", err)
+	}
+	msg := err.Error()
+	if strings.Count(msg, "step 0") != 1 || strings.Count(msg, "3 live workers") != 1 {
+		t.Fatalf("err = %q, want the step and the live-worker count named once", msg)
 	}
 }
 

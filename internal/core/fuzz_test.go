@@ -28,7 +28,7 @@ func fuzzServer(tb testing.TB) *Server {
 		Arch:      arch,
 		Init:      tensor.New(arch.Dim()),
 		Optimizer: opt,
-		Client:    rpc.NewClient(transport.NewMem()),
+		Client:    rpc.NewPooledClient(transport.NewMem()),
 	})
 	if err != nil {
 		tb.Fatal(err)

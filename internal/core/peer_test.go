@@ -31,7 +31,8 @@ func buildPeerRing(t *testing.T, n int, nonIID bool) []*PeerNode {
 		t.Fatal(err)
 	}
 	net := transport.NewMem()
-	client := rpc.NewClient(net)
+	client := rpc.NewPooledClient(net)
+	t.Cleanup(client.Close)
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = "peer-" + strconv.Itoa(i)

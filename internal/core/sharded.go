@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -108,34 +109,39 @@ func (c *Cluster) RunSharded(opt RunOptions) (*Result, error) {
 			return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
 		}
 	}
-
-	res := st.res
-	start := c.clock.Now()
-	wire0 := c.WireStats()
-	for i := 0; i < opt.Iterations; i++ {
-		committed, err := st.round(i)
-		if err != nil {
-			return nil, fmt.Errorf("core: sharded iteration %d: %w", i, err)
-		}
-		res.Breakdown.EndIteration()
-		if committed {
-			res.Updates++
-			res.ShardRounds++
-		} else {
-			res.ShardAborts++
-		}
-		// Accuracy is recorded on the committed/aborted model alike, so the
-		// artifact curve keeps one point per schedule slot whatever the
-		// fault pattern — the bit-identical sweep contract needs a stable
-		// shape.
-		if err := c.recordAccuracy(res, st.obs, opt, i, start); err != nil {
-			return nil, err
-		}
-	}
-	res.WallTime = c.clock.Now().Sub(start)
-	res.Wire = c.WireStats().Sub(wire0)
-	return res, nil
+	return c.driveSteps(st.res, st, opt)
 }
+
+// errRoundAborted marks a sharded round that aborted cleanly — a quorum
+// miss, an unreachable owner or donor, a torn or missing part — before any
+// replica wrote its model. driveSteps counts such a round as an iteration
+// without an update; every other error fails the run (configuration or
+// rule failures, not transient network faults).
+var errRoundAborted = errors.New("round aborted")
+
+// abortf returns an errRoundAborted naming the abort's cause.
+func abortf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{errRoundAborted}, args...)...)
+}
+
+// Step runs sharded round i and counts it as committed or aborted.
+// Accuracy is recorded on the committed and aborted model alike, so the
+// artifact curve keeps one point per schedule slot whatever the fault
+// pattern — the bit-identical sweep contract needs a stable shape.
+func (st *shardedStepper) Step(i int) error {
+	err := st.round(i)
+	switch {
+	case err == nil:
+		st.res.ShardRounds++
+	case errors.Is(err, errRoundAborted):
+		st.res.ShardAborts++
+	default:
+		return fmt.Errorf("core: sharded iteration %d: %w", i, err)
+	}
+	return err
+}
+
+func (st *shardedStepper) Observed() *Server { return st.obs }
 
 // liveReplicas returns the active, non-crashed replica slots in roster
 // order. With FPS == 0 every live replica is honest and drivable.
@@ -167,8 +173,8 @@ func (st *shardedStepper) ownerOf(ro Roster, k int) (owner int, failedOver, ok b
 // catchUp brings lagging live replicas (recovered after missing committed
 // rounds) onto the fleet's newest model: each laggard pulls the model of the
 // first replica at the maximum step through its own client and adopts it
-// wholesale. Returns false — abort the round — when a pull fails.
-func (st *shardedStepper) catchUp(ctx context.Context, live []int) (bool, error) {
+// wholesale. A failed pull aborts the round.
+func (st *shardedStepper) catchUp(ctx context.Context, live []int) error {
 	c := st.c
 	maxStep, donor := uint32(0), -1
 	for _, r := range live {
@@ -184,25 +190,24 @@ func (st *shardedStepper) catchUp(ctx context.Context, live []int) (bool, error)
 		}
 		vec, err := s.client.Call(ctx, donorAddr, rpc.Request{Kind: rpc.KindGetModel, Step: maxStep})
 		if err != nil {
-			return false, nil // donor unreachable: abort, retry next round
+			return abortf("replica %d catch-up from replica %d: %w", r, donor, err)
 		}
 		if err := s.AdoptState(vec, maxStep); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }
 
-// round executes one sharded round. committed reports whether the round's
-// update was applied (false: aborted cleanly, no replica wrote its model);
-// a non-nil error is fatal to the run (configuration or rule failures, not
-// transient network faults).
-func (st *shardedStepper) round(i int) (committed bool, err error) {
+// round executes one sharded round: nil when the update was applied at
+// every live replica, an errRoundAborted when it aborted before any model
+// write, any other error when the run must fail.
+func (st *shardedStepper) round(i int) error {
 	c, cfg := st.c, st.c.cfg
 	ro := c.Roster()
 	live := st.liveReplicas(ro)
 	if len(live) == 0 {
-		return false, fmt.Errorf("%w: all %d replicas crashed or departed", ErrConfig, len(ro.Servers))
+		return fmt.Errorf("%w: all %d replicas crashed or departed", ErrConfig, len(ro.Servers))
 	}
 	st.obs = c.Server(live[0])
 	S := cfg.Shards
@@ -210,15 +215,15 @@ func (st *shardedStepper) round(i int) (committed bool, err error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.PullTimeout)
 	defer cancel()
 
-	if ok, err := st.catchUp(ctx, live); !ok || err != nil {
-		return false, err
+	if err := st.catchUp(ctx, live); err != nil {
+		return err
 	}
 
 	owners := make([]int, S)
 	for k := 0; k < S; k++ {
 		o, failedOver, ok := st.ownerOf(ro, k)
 		if !ok {
-			return false, fmt.Errorf("%w: no live replica to own shard %d", ErrConfig, k)
+			return fmt.Errorf("%w: no live replica to own shard %d", ErrConfig, k)
 		}
 		owners[k] = o
 		if failedOver {
@@ -226,15 +231,8 @@ func (st *shardedStepper) round(i int) (committed bool, err error) {
 		}
 	}
 
-	// Phase A: owners pull, aggregate and publish their parts.
-	if st.coord {
-		if ok, err := st.phaseACoord(ctx, ro, owners, i); !ok || err != nil {
-			return false, err
-		}
-	} else {
-		if ok, err := st.phaseAHier(ctx, ro, owners, i); !ok || err != nil {
-			return false, err
-		}
+	if err := st.phaseA(ctx, ro, owners, i); err != nil {
+		return err
 	}
 
 	// Phase B: every live replica collects all parts and assembles the full
@@ -243,95 +241,75 @@ func (st *shardedStepper) round(i int) (committed bool, err error) {
 	// (partial-coordinate) model writes.
 	assembled := make([]tensor.Vector, len(live))
 	for idx, r := range live {
-		var (
-			vec tensor.Vector
-			ok  bool
-		)
+		var err error
 		if st.coord {
-			vec, ok, err = st.assembleCoord(ctx, r, owners, i, idx == 0)
+			assembled[idx], err = st.assembleCoord(ctx, r, owners, i, idx == 0)
 		} else {
-			vec, ok, err = st.assembleHier(ctx, ro, r, owners, i, idx == 0)
+			assembled[idx], err = st.assembleHier(ctx, r, owners, i, idx == 0)
 		}
-		if !ok || err != nil {
-			return false, err
+		if err != nil {
+			return err
 		}
-		assembled[idx] = vec
 	}
 	for idx, r := range live {
 		if err := c.Server(r).UpdateModel(assembled[idx]); err != nil {
-			return false, err
+			return err
 		}
 	}
-	return true, nil
+	return nil
 }
 
-// phaseACoord runs Phase A for a coordinate-wise rule: shard k's owner pulls
-// the [lo_k, hi_k) slice of a full worker quorum and aggregates it with the
-// flat rule restricted to those coordinates — exactly the flat aggregation's
-// arithmetic on that slice, which is what makes reassembly bit-identical.
-func (st *shardedStepper) phaseACoord(ctx context.Context, ro Roster, owners []int, i int) (bool, error) {
+// phaseA has every shard's owner pull its shard's inputs, aggregate them
+// and publish the part (Server.SetShardPart, stamped with the round). Both
+// modes index shards through a shard.Plan: for a coordinate-wise rule, shard
+// k's owner pulls the [lo_k, hi_k) slice of a worker quorum and aggregates it
+// with the flat rule — exactly the flat aggregation's arithmetic on that
+// slice, which is what makes reassembly bit-identical; for a selection rule,
+// it pulls full gradients from group k's workers only and runs the rule over
+// the group, tolerating up to FW Byzantine members (the declared-Byzantine
+// workers are the roster's last FW, so whatever groups they land in stay
+// within the per-group budget the drift bounds assume). A failed pull aborts
+// the round; a rule failure on a complete pull is a bug, not a fault.
+func (st *shardedStepper) phaseA(ctx context.Context, ro Roster, owners []int, i int) error {
 	c, cfg := st.c, st.c.cfg
-	qw := ro.NW()
+	plan, qw := st.plan, ro.NW()
 	if !cfg.SyncQuorum {
-		qw = ro.NW() - ro.FW
+		qw -= ro.FW
 	}
-	for k := range owners {
-		agg, err := st.shardAggregator(k, cfg.Rule, qw, ro.FW)
-		if err != nil {
-			return false, err
+	if !st.coord {
+		var err error
+		if plan, err = shard.NewGroups(ro.NW(), len(owners)); err != nil {
+			return fmt.Errorf("%w: sharded: %v", ErrConfig, err)
 		}
-		s := c.Server(owners[k])
-		lo, hi := st.plan.Range(k)
-		commDone := c.phaseTimer()
-		grads, err := s.GetGradientsRange(ctx, i, qw, uint16(k), lo, hi)
-		st.res.Breakdown.AddComm(commDone())
-		if err != nil {
-			return false, nil // quorum miss: abort, no part published
+	}
+	for k, owner := range owners {
+		s := c.Server(owner)
+		lo, hi := plan.Range(k)
+		n, pull := qw, func() ([]tensor.Vector, error) {
+			return s.GetGradientsRange(ctx, i, qw, uint16(k), lo, hi)
 		}
-		aggDone := c.phaseTimer()
-		part, err := agg.Aggregate(grads)
-		st.res.Breakdown.AddAgg(aggDone())
+		if !st.coord {
+			n, pull = hi-lo, func() ([]tensor.Vector, error) {
+				return s.GetGradientsFrom(ctx, i, ro.WorkerAddrs[lo:hi], hi-lo)
+			}
+		}
+		agg, err := st.shardAggregator(k, cfg.Rule, n, ro.FW)
 		if err != nil {
-			return false, err // rule failure on a full quorum is a bug, not a fault
+			return err
+		}
+		part, err := pullAggregate(c.clock, st.res.Breakdown, agg, func() ([]tensor.Vector, error) {
+			vecs, err := pull()
+			if err != nil {
+				return nil, abortf("shard %d pull at replica %d: %w", k, owner, err)
+			}
+			return vecs, nil
+		})
+		if err != nil {
+			return err
 		}
 		s.SetShardPart(uint32(i), uint16(k), part)
 	}
-	return true, nil
-}
-
-// phaseAHier runs Phase A for a selection rule: shard k's owner pulls full
-// gradients from group k's workers only and runs the rule locally over the
-// group, tolerating up to FW Byzantine members (the declared-Byzantine
-// workers are the roster's last FW, so whatever groups they land in stay
-// within the per-group budget the drift bounds assume).
-func (st *shardedStepper) phaseAHier(ctx context.Context, ro Roster, owners []int, i int) (bool, error) {
-	c, cfg := st.c, st.c.cfg
-	groups, err := shard.NewGroups(ro.NW(), len(owners))
-	if err != nil {
-		return false, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
-	}
-	for k := range owners {
-		glo, ghi := groups.Range(k)
-		agg, err := st.shardAggregator(k, cfg.Rule, ghi-glo, ro.FW)
-		if err != nil {
-			return false, err
-		}
-		s := c.Server(owners[k])
-		commDone := c.phaseTimer()
-		grads, err := s.GetGradientsFrom(ctx, i, ro.WorkerAddrs[glo:ghi], ghi-glo)
-		st.res.Breakdown.AddComm(commDone())
-		if err != nil {
-			return false, nil // group quorum miss: abort
-		}
-		aggDone := c.phaseTimer()
-		winner, err := agg.Aggregate(grads)
-		st.res.Breakdown.AddAgg(aggDone())
-		if err != nil {
-			return false, err
-		}
-		s.SetShardPart(uint32(i), uint16(k), winner)
-	}
-	return true, nil
+	return nil
 }
 
 // shardAggregator returns shard k's cached Phase A aggregator, rebuilt only
@@ -352,7 +330,7 @@ func (st *shardedStepper) shardAggregator(k int, rule string, n, f int) (*Aggreg
 // an incomplete or torn reassembly can never masquerade as a full update:
 // the final NaN sweep is the tripwire (shard ranges tile [0, d), so a fully
 // collected round leaves no NaN behind).
-func (st *shardedStepper) assembleCoord(ctx context.Context, r int, owners []int, i int, record bool) (tensor.Vector, bool, error) {
+func (st *shardedStepper) assembleCoord(ctx context.Context, r int, owners []int, i int, record bool) (tensor.Vector, error) {
 	c := st.c
 	d := st.plan.Dim()
 	buf := tensor.Resize(st.scratch[r], d)
@@ -364,50 +342,44 @@ func (st *shardedStepper) assembleCoord(ctx context.Context, r int, owners []int
 	sr := c.Server(r)
 	for k, owner := range owners {
 		lo, hi := st.plan.Range(k)
-		part, ok, err := st.collectPart(ctx, sr, r, owner, uint32(i), uint16(k), lo, hi, record)
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		if len(part) != hi-lo {
-			return nil, false, nil // torn part: abort before any write
+		part, err := st.collectPart(ctx, sr, r, owner, uint32(i), uint16(k), lo, hi, record)
+		if err != nil {
+			return nil, err
 		}
 		copy(buf[lo:hi], part)
 	}
 	for j := range buf {
 		if buf[j] != buf[j] {
-			return nil, false, fmt.Errorf("reassembly left coordinate %d unwritten at replica %d", j, r)
+			return nil, fmt.Errorf("reassembly left coordinate %d unwritten at replica %d", j, r)
 		}
 	}
-	return buf, true, nil
+	return buf, nil
 }
 
 // assembleHier collects the S group winners at replica r and runs the root
 // selection round over them — every replica derives the identical root
 // output from the identical winner set, which is what keeps the replicas'
 // models in lockstep without a model-exchange phase.
-func (st *shardedStepper) assembleHier(ctx context.Context, ro Roster, r int, owners []int, i int, record bool) (tensor.Vector, bool, error) {
+func (st *shardedStepper) assembleHier(ctx context.Context, r int, owners []int, i int, record bool) (tensor.Vector, error) {
 	c, cfg := st.c, st.c.cfg
 	d := cfg.Arch.Dim()
 	rootF, err := shard.RootF(cfg.Rule, len(owners))
 	if err != nil {
-		return nil, false, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
+		return nil, fmt.Errorf("%w: sharded: %v", ErrConfig, err)
 	}
 	rootSlot, rootKey := st.rootAggs[r], st.rootKeys[r]
 	rootAgg, err := cachedAggregator(&rootSlot, &rootKey, cfg.Rule, len(owners), rootF)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	st.rootAggs[r], st.rootKeys[r] = rootSlot, rootKey
 
 	ws := st.winners[r][:0]
 	sr := c.Server(r)
 	for k, owner := range owners {
-		part, ok, err := st.collectPart(ctx, sr, r, owner, uint32(i), uint16(k), 0, d, record)
-		if !ok || err != nil {
-			return nil, false, err
-		}
-		if len(part) != d {
-			return nil, false, nil // torn winner: abort
+		part, err := st.collectPart(ctx, sr, r, owner, uint32(i), uint16(k), 0, d, record)
+		if err != nil {
+			return nil, err
 		}
 		ws = append(ws, part)
 	}
@@ -418,7 +390,7 @@ func (st *shardedStepper) assembleHier(ctx context.Context, ro Roster, r int, ow
 		st.res.Breakdown.AddAgg(aggDone())
 	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// Land the root output in the replica's own scratch: the root
 	// aggregator's buffer is reused next round, and the commit loop applies
@@ -426,29 +398,35 @@ func (st *shardedStepper) assembleHier(ctx context.Context, ro Roster, r int, ow
 	buf := tensor.Resize(st.scratch[r], d)
 	st.scratch[r] = buf
 	copy(buf, out)
-	return buf, true, nil
+	return buf, nil
 }
 
-// collectPart fetches one part at replica r: a local store read when r owns
-// the shard, a KindGetShardPart pull from the owner otherwise. ok == false
-// with a nil error means the part is unavailable (owner crashed mid-round,
-// pull failed, stale step) — an abort, not a failure.
-func (st *shardedStepper) collectPart(ctx context.Context, sr *Server, r, owner int, step uint32, k uint16, lo, hi int, record bool) (tensor.Vector, bool, error) {
+// collectPart fetches shard k's part of width hi-lo at replica r: a local
+// store read when r owns the shard, a KindGetShardPart pull from the owner
+// otherwise. An unavailable part (owner crashed mid-round, pull failed,
+// stale step) or one of the wrong width (torn) aborts the round before any
+// write.
+func (st *shardedStepper) collectPart(ctx context.Context, sr *Server, r, owner int, step uint32, k uint16, lo, hi int, record bool) (tensor.Vector, error) {
 	c := st.c
+	var part tensor.Vector
 	if owner == r {
-		part, ok := sr.shardPartLocal(step, k)
-		if !ok {
-			return nil, false, nil
+		var ok bool
+		if part, ok = sr.shardPartLocal(step, k); !ok {
+			return nil, abortf("replica %d holds no part %d for step %d", r, k, step)
 		}
-		return part, true, nil
+	} else {
+		commDone := c.phaseTimer()
+		var err error
+		part, err = sr.GetShardPart(ctx, c.ServerAddr(owner), step, k, lo, hi)
+		if record {
+			st.res.Breakdown.AddComm(commDone())
+		}
+		if err != nil {
+			return nil, abortf("part %d from replica %d at replica %d: %w", k, owner, r, err)
+		}
 	}
-	commDone := c.phaseTimer()
-	part, err := sr.GetShardPart(ctx, c.ServerAddr(owner), step, k, lo, hi)
-	if record {
-		st.res.Breakdown.AddComm(commDone())
+	if len(part) != hi-lo {
+		return nil, abortf("torn part %d at replica %d: width %d, want %d", k, r, len(part), hi-lo)
 	}
-	if err != nil {
-		return nil, false, nil
-	}
-	return part, true, nil
+	return part, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -16,15 +17,17 @@ import (
 // model updates, whatever the topology's round consists of — and Observed
 // returns the replica accuracy is measured at after the step. Extracting
 // the state machine behind this interface is what lets one loop
-// (driveSteps) serve both execution engines: the live runner drives
-// steppers over goroutine-per-node RPC and the wall clock, the
-// discrete-event simulator drives the same steppers over direct
-// virtual-time dispatch.
+// (driveSteps) serve every lockstep topology, sharded included, on both
+// execution engines: the live runner drives steppers over
+// goroutine-per-node RPC and the wall clock, the discrete-event simulator
+// drives the same steppers over direct virtual-time dispatch.
 type Stepper interface {
-	// Step executes iteration i and returns the round's root-cause error.
+	// Step executes iteration i and returns the round's root-cause error;
+	// an errRoundAborted reports a round that ended cleanly without an
+	// update.
 	Step(i int) error
 	// Observed returns the replica the run's accuracy is measured at —
-	// valid after a successful Step.
+	// valid after a Step that returned nil or an errRoundAborted.
 	Observed() *Server
 }
 
@@ -37,20 +40,26 @@ func (c *Cluster) phaseTimer() func() time.Duration {
 	return func() time.Duration { return c.clock.Now().Sub(start) }
 }
 
-// driveSteps is the engine-agnostic run loop shared by every lockstep
-// protocol runner: one Step, one throughput tick and one accuracy check per
-// iteration, all measured on the cluster's clock. Whether the stepper
-// underneath fans out goroutines over real RPC or advances a virtual clock
-// over direct dispatch is invisible from here.
+// driveSteps is the run loop of every lockstep protocol: one Step, one
+// throughput tick and one accuracy check per iteration, all measured on the
+// cluster's clock. A step that returns errRoundAborted (a sharded round that
+// aborted before any model write) still counts as an iteration — accuracy
+// is recorded on the unchanged model — but not as an update; any other
+// error fails the run. Whether the stepper underneath fans out goroutines
+// over real RPC or advances a virtual clock over direct dispatch is
+// invisible from here.
 func (c *Cluster) driveSteps(res *Result, st Stepper, opt RunOptions) (*Result, error) {
 	start := c.clock.Now()
 	wire0 := c.WireStats()
 	for i := 0; i < opt.Iterations; i++ {
-		if err := st.Step(i); err != nil {
+		err := st.Step(i)
+		if err != nil && !errors.Is(err, errRoundAborted) {
 			return nil, err
 		}
 		res.Breakdown.EndIteration()
-		res.Updates++
+		if err == nil {
+			res.Updates++
+		}
 		if err := c.recordAccuracy(res, st.Observed(), opt, i, start); err != nil {
 			return nil, err
 		}

@@ -21,8 +21,8 @@ type Wiring interface {
 	Serve(addr string, handler rpc.Handler) (io.Closer, error)
 	// NewCaller returns the pull client used by the node at address self.
 	// The caller must stamp self as the request origin when the request
-	// carries none (rpc.Client semantics), so adversarial handlers can
-	// equivocate deterministically per puller.
+	// carries none (as rpc.NewPooledClientAs does), so adversarial
+	// handlers can equivocate deterministically per puller.
 	NewCaller(self string) rpc.Caller
 	// Clock is the time source runners on this wiring measure with.
 	Clock() Clock

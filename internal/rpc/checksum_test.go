@@ -198,7 +198,8 @@ func TestClientIdentityStamped(t *testing.T) {
 	if got := <-seen; got != "server-7" {
 		t.Fatalf("pooled client stamped From = %q, want server-7", got)
 	}
-	cl := NewClientAs(mem, "node-3")
+	cl := NewPooledClientAs(mem, "node-3")
+	defer cl.Close()
 	if _, err := cl.Call(context.Background(), "s", Request{Kind: KindPing}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,8 @@ func TestCorrelationRejectsShiftedReply(t *testing.T) {
 		// Answer with a stale echo (previous step).
 		_ = writeResponseFrame(conn, Response{OK: true, EchoKind: KindGetModel, EchoStep: 6, Vec: tensor.Vector{1}})
 	}()
-	client := NewClient(mem)
+	client := NewPooledClient(mem)
+	defer client.Close()
 	_, err = client.Call(context.Background(), "s", Request{Kind: KindGetModel, Step: 7})
 	if !errors.Is(err, ErrMismatchedReply) {
 		t.Fatalf("err = %v, want ErrMismatchedReply", err)

@@ -7,13 +7,12 @@ import (
 	"sync"
 
 	"garfield/internal/tensor"
-	"garfield/internal/transport"
 )
 
 // Caller is the pull-call contract the protocol layer programs against: one
 // request/response round trip plus the first-q-of-n collection primitive.
-// Client (dial-per-call) and PooledClient (persistent connections, the
-// protocol default) both implement it.
+// PooledClient implements it over the network; the discrete-event
+// simulator's caller implements it over virtual-time dispatch.
 type Caller interface {
 	// Call performs one request/response round trip with a single peer.
 	Call(ctx context.Context, addr string, req Request) (tensor.Vector, error)
@@ -36,36 +35,6 @@ type Caller interface {
 // through its own resolved pointer).
 type ReplySlots interface {
 	ReplySlot(i int) *tensor.Vector
-}
-
-// callerInto is the internal decode-into contract shared by Client and
-// PooledClient: one round trip whose reply vector is decoded into *dst when
-// dst is non-nil (capacity reuse via tensor.Resize), freshly allocated
-// otherwise.
-type callerInto interface {
-	callInto(ctx context.Context, addr string, req Request, dst *tensor.Vector) (tensor.Vector, error)
-}
-
-// Client issues pull requests to peers. Calls are parallelized across peers
-// (Section 4.1: "our implementation parallelizes RPC calls"), and the
-// first-q-of-n collection primitive implements the semantics of
-// get_gradients(t, q): return the fastest q replies, cancel the stragglers.
-type Client struct {
-	network transport.Network
-	self    string
-}
-
-var _ Caller = (*Client)(nil)
-
-// NewClient returns a client dialing over the given network.
-func NewClient(network transport.Network) *Client {
-	return &Client{network: network}
-}
-
-// NewClientAs is NewClient with a caller identity: every request that does
-// not already carry one is stamped with self (see Request.From).
-func NewClientAs(network transport.Network, self string) *Client {
-	return &Client{network: network, self: self}
 }
 
 // stamp fills in the caller identity on requests that lack one.
@@ -109,66 +78,6 @@ func correlate(req Request, resp Response) error {
 		ErrMismatchedReply, resp.EchoKind, resp.EchoStep, req.Kind, req.Step)
 }
 
-// Call performs one request/response round trip with a single peer. Each
-// call uses a dedicated connection, torn down afterwards; connection cost on
-// the in-memory and loopback transports is negligible, and independence
-// between calls is what lets PullFirstQ cancel stragglers safely.
-func (c *Client) Call(ctx context.Context, addr string, req Request) (tensor.Vector, error) {
-	return c.callInto(ctx, addr, req, nil)
-}
-
-// callInto is Call decoding the reply into *dst when dst is non-nil.
-func (c *Client) callInto(ctx context.Context, addr string, req Request, dst *tensor.Vector) (tensor.Vector, error) {
-	req = stamp(req, c.self)
-	conn, err := c.network.Dial(ctx, addr)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: dial %q: %w", addr, err)
-	}
-	defer func() { _ = conn.Close() }()
-
-	// Honour ctx cancellation while blocked on pipe/socket I/O.
-	done := make(chan struct{})
-	var closeOnce sync.Once
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeOnce.Do(func() { _ = conn.Close() })
-		case <-done:
-		}
-	}()
-	defer close(done)
-
-	if err := writeRequestFrame(conn, req); err != nil {
-		return nil, fmt.Errorf("rpc: send to %q: %w", addr, wrapCtx(ctx, err))
-	}
-	payload, err := readFramePooled(conn)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: receive from %q: %w", addr, wrapCtx(ctx, err))
-	}
-	resp, err := decodeResponseInto(dst, *payload, replyDimBound(req))
-	putBuf(payload)
-	if err != nil {
-		return nil, fmt.Errorf("rpc: from %q: %w", addr, err)
-	}
-	if err := correlate(req, resp); err != nil {
-		return nil, fmt.Errorf("rpc: %q: %w", addr, err)
-	}
-	if !resp.OK {
-		return nil, fmt.Errorf("rpc: %q: %w", addr, ErrNotServed)
-	}
-	return resp.Vec, nil
-}
-
-// PullFirstQ implements Caller; see pullFirstQ.
-func (c *Client) PullFirstQ(ctx context.Context, peers []string, q int, req Request) ([]Reply, error) {
-	return pullFirstQ(ctx, c, peers, q, req, nil)
-}
-
-// PullFirstQInto implements Caller; see pullFirstQ.
-func (c *Client) PullFirstQInto(ctx context.Context, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
-	return pullFirstQ(ctx, c, peers, q, req, slots)
-}
-
 // wrapCtx surfaces context cancellation as the root cause when a connection
 // was torn down because the deadline passed.
 func wrapCtx(ctx context.Context, err error) error {
@@ -190,25 +99,18 @@ type pullResult struct {
 }
 
 type pullTask struct {
-	c    Caller
-	ci   callerInto // non-nil with dst: decode into the fused reply slot
+	c    *PooledClient
 	ctx  context.Context
 	peer string
 	req  Request
-	dst  *tensor.Vector
+	dst  *tensor.Vector // the fused reply slot; nil decodes into a fresh vector
 	out  chan<- pullResult
 	wg   *sync.WaitGroup
 }
 
 func runPullTask(t *pullTask) {
 	defer t.wg.Done()
-	var vec tensor.Vector
-	var err error
-	if t.ci != nil {
-		vec, err = t.ci.callInto(t.ctx, t.peer, t.req, t.dst)
-	} else {
-		vec, err = t.c.Call(t.ctx, t.peer, t.req)
-	}
+	vec, err := t.c.callInto(t.ctx, t.peer, t.req, t.dst)
 	t.out <- pullResult{reply: Reply{From: t.peer, Vec: vec}, err: err}
 }
 
@@ -228,19 +130,12 @@ func runPullTask(t *pullTask) {
 // only writes through its own pre-resolved pointer, and the deferred
 // wg.Wait guarantees no task outlives the call — so the caller may reuse the
 // slots for the next round the moment this returns.
-func pullFirstQ(ctx context.Context, c Caller, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
+func pullFirstQ(ctx context.Context, c *PooledClient, peers []string, q int, req Request, slots ReplySlots) ([]Reply, error) {
 	if q <= 0 || q > len(peers) {
 		return nil, fmt.Errorf("rpc: invalid quorum %d of %d peers", q, len(peers))
 	}
 	subCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
-	var ci callerInto
-	if slots != nil {
-		// A Caller without the decode-into fast path serves slot-less pulls
-		// transparently.
-		ci, _ = c.(callerInto)
-	}
 
 	results := make(chan pullResult, len(peers))
 	var wg sync.WaitGroup
@@ -250,8 +145,7 @@ func pullFirstQ(ctx context.Context, c Caller, peers []string, q int, req Reques
 	tasks := make([]pullTask, len(peers))
 	for i, peer := range peers {
 		tasks[i] = pullTask{c: c, ctx: subCtx, peer: peer, req: req, out: results, wg: &wg}
-		if ci != nil {
-			tasks[i].ci = ci
+		if slots != nil {
 			tasks[i].dst = slots.ReplySlot(i)
 		}
 	}

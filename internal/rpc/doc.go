@@ -1,6 +1,6 @@
 // Package rpc implements Garfield's pull-based communication layer
 // (Section 4.1 of the paper): a compact binary protocol over any
-// transport.Network, a per-node RPC server, and clients whose PullFirstQ
+// transport.Network, a per-node RPC server, and a client whose PullFirstQ
 // primitive returns the fastest q replies out of n peers — the mechanism
 // behind get_gradients(t, q) and get_models(q).
 //
@@ -16,9 +16,8 @@
 //     the paper parallelizes replicated communication. req.Vec is only
 //     valid for the duration of the call; retain a copy if needed.
 //   - Caller is the client side: one Call round trip plus the
-//     first-q-of-n PullFirstQ collection primitive. Client (dial-per-call)
-//     and PooledClient (persistent connections, the protocol default)
-//     both implement it.
+//     first-q-of-n PullFirstQ collection primitive. PooledClient
+//     (persistent connections) is its network implementation.
 //   - Request/Response frame a Kind (gradient, model, aggregated-gradient,
 //     ping), a step counter, and one tensor.Vector payload, encoded with
 //     the unrolled codec of internal/tensor.

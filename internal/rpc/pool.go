@@ -15,7 +15,7 @@ import (
 	"garfield/internal/transport"
 )
 
-// PooledClient is a Client variant that keeps one persistent connection per
+// PooledClient is the RPC client. It keeps one persistent connection per
 // peer instead of dialing per call — the connection-reuse optimization real
 // gRPC deployments get from HTTP/2 channels. Requests to the same peer are
 // serialized over its connection (the wire protocol is strict
@@ -33,9 +33,7 @@ import (
 // consumed, the connection survives — the late reply is owed on the wire and
 // drained by the next call to that peer, so steady-state straggler
 // cancellation causes no re-dial churn. Only a cancellation that interrupts
-// mid-frame tears the connection down (it is re-dialed lazily). The
-// dial-per-call Client remains available for one-shot use and backs the
-// connection-reuse ablation bench.
+// mid-frame tears the connection down (it is re-dialed lazily).
 type PooledClient struct {
 	network transport.Network
 	self    string

@@ -360,8 +360,8 @@ type Spec struct {
 	// lockstep runner (ssmw and msmw topologies): servers aggregate as
 	// soon as q = nw - fw sufficiently fresh gradients are queued, so
 	// stragglers cost freshness rather than progress. Incompatible with
-	// SyncQuorum; combined with Deterministic it runs the seeded
-	// single-threaded replay (ssmw only).
+	// SyncQuorum; combined with Deterministic a seeded replay schedule
+	// feeds the engine single-threaded (ssmw only).
 	Async bool `json:"async,omitempty"`
 	// StalenessBound is the async engine's tau: gradients computed more
 	// than that many steps ago are discarded. Following the config
@@ -550,6 +550,26 @@ func (sp Spec) Validate() error {
 	}
 	if sp.AccEvery < 0 {
 		return fmt.Errorf("%w: acc_every=%d", ErrSpec, sp.AccEvery)
+	}
+	// Knobs whose zero means "default" or "off": downstream, a negative
+	// value would be silently reinterpreted (through a modulus, a > 0 gate
+	// or a fall-back to the default), so it is rejected here.
+	// contract_steps is exempt: a negative value is how a spec asks for no
+	// contract step, since 0 defaults to one.
+	for _, knob := range []struct {
+		name string
+		v    float64
+	}{
+		{"model_agg_every", float64(sp.ModelAggEvery)},
+		{"pull_timeout_ms", float64(sp.PullTimeoutMS)},
+		{"server_byz_scale", sp.ServerByzScale},
+		{"momentum", sp.Momentum},
+		{"worker_momentum", sp.WorkerMomentum},
+		{"attack_self_peers", float64(sp.AttackSelfPeers)},
+	} {
+		if knob.v < 0 {
+			return fmt.Errorf("%w: %s=%v must not be negative", ErrSpec, knob.name, knob.v)
+		}
 	}
 	if err := sp.validateAsync(); err != nil {
 		return err

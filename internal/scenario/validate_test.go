@@ -94,6 +94,14 @@ func TestSpecValidationErrorPaths(t *testing.T) {
 		{"zero batch", func(sp *Spec) { sp.BatchSize = 0 }, "batch_size=0"},
 		{"zero iterations", func(sp *Spec) { sp.Iterations = 0 }, "iterations=0"},
 
+		// Numeric knobs whose negative values were silently reinterpreted.
+		{"negative model_agg_every", func(sp *Spec) { sp.ModelAggEvery = -2 }, "model_agg_every=-2 must not be negative"},
+		{"negative pull_timeout_ms", func(sp *Spec) { sp.PullTimeoutMS = -5 }, "pull_timeout_ms=-5 must not be negative"},
+		{"negative server_byz_scale", func(sp *Spec) { sp.ServerByzScale = -1 }, "server_byz_scale=-1 must not be negative"},
+		{"negative momentum", func(sp *Spec) { sp.Momentum = -0.5 }, "momentum=-0.5 must not be negative"},
+		{"negative worker_momentum", func(sp *Spec) { sp.WorkerMomentum = -0.5 }, "worker_momentum=-0.5 must not be negative"},
+		{"negative attack_self_peers", func(sp *Spec) { sp.AttackSelfPeers = -1 }, "attack_self_peers=-1 must not be negative"},
+
 		// Fault schedule: every invalid kind and bound.
 		{"unknown fault kind", func(sp *Spec) {
 			sp.Faults = []Fault{{After: 5, Kind: "meteor-strike"}}
